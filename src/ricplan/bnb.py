@@ -37,6 +37,7 @@ from .problem import (
     SolveLimits,
     SolveReport,
     annotate_plan,
+    drain_ok,
     mip_gap,
     objective_eval,
     plan_from_aggregates,
@@ -78,7 +79,6 @@ def _context(problem: SalProblem):
     K, S = len(classes), problem.n_servers
     strategy = params.strategy
     sdl = strategy is StrategyId.SDL
-    rho = None if sdl else params.rho_mb
 
     n0 = [[problem.staged[cls][s] for s in range(S)] for cls in classes]
     pend = [problem.staged[cls][S] for cls in classes]
@@ -86,7 +86,7 @@ def _context(problem: SalProblem):
     n_tot = [pool[k] + pend[k] for k in range(K)]
     totals = problem.totals
 
-    mig = kpi_coeffs(cal, strategy.value, rho)
+    mig = kpi_coeffs(cal, strategy.value, params.rho_mb)
     inst = kpi_coeffs(cal, StrategyId.SDL.value, None)
     p_e = [load_coeff(cal, cls, "E") for cls in classes]
     q_e = idle_coeff(cal, "E")
@@ -120,11 +120,11 @@ def _context(problem: SalProblem):
 
     return {
         "problem": problem, "classes": classes, "K": K, "S": S,
-        "strategy": strategy, "sdl": sdl, "rho": rho, "params": params,
-        "cal": cal, "n0": n0, "pend": pend, "pool": pool, "n_tot": n_tot,
-        "mig": mig, "inst": inst, "p_e": p_e, "q_e": q_e, "loads": loads,
-        "idles": idles, "caps": caps, "share": share, "e_tau_mu": e_tau_mu,
-        "e_tau_o": e_tau_o, "b_e_tau": b_e_tau, "init_power": init_power,
+        "sdl": sdl, "params": params, "n0": n0, "pend": pend, "pool": pool,
+        "n_tot": n_tot, "mig": mig, "inst": inst, "p_e": p_e, "q_e": q_e,
+        "loads": loads, "idles": idles, "caps": caps, "share": share,
+        "e_tau_mu": e_tau_mu, "e_tau_o": e_tau_o, "b_e_tau": b_e_tau,
+        "init_power": init_power,
         "use_tm": use_tm, "use_ti": use_ti, "nvar": nv,
         "base_tm": base_tm, "base_ti": base_ti,
         "i_o": lambda k, s: k * S + s,
@@ -439,23 +439,6 @@ def _box_size(node):
     return size
 
 
-def _drain_ok(ctx, s):
-    """Quick feasibility of fully draining server s (for the off-branch)."""
-    params, cal = ctx["params"], ctx["cal"]
-    strategy = ctx["strategy"]
-    counts = [ctx["n0"][k][s] for k in range(ctx["K"])]
-    total = sum(counts)
-    if total == 0:
-        return True
-    if not ctx["sdl"]:
-        t_d = model.sm_downtime(strategy, total, cal, params.rho_mb)
-        if t_d > params.max_sm_downtime * (1 + 1e-9):
-            return False
-    window = sum(model.migration_duration(strategy, n, cal, ctx["rho"])
-                 for n in counts)
-    return window <= params.slot_length * (1 + 1e-9)
-
-
 def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
     """Globally minimal-energy plan, an optimality certificate, or a proof of
     infeasibility, subject to the time and gap limits."""
@@ -569,7 +552,7 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
             on = node.child()
             on.mu_lo[s] = 1
             children = []
-            if _drain_ok(ctx, s):
+            if drain_ok(problem, s):
                 off = node.child()
                 off.mu_hi[s] = 0
                 for k in range(K):

@@ -1,9 +1,19 @@
 """Exhaustive reference solver.
 
-Enumerates every activation vector and every per-row destination split,
-evaluates each complete assignment with the exact energy model, and keeps the
-best.  Intended as the ground-truth oracle at desk scale; refuses instances
-whose search-space estimate exceeds the evaluation cap.
+Enumerates every activation vector and every per-row destination split, and
+judges each complete assignment through the reference path only:
+`validate_plan` for feasibility and `objective_eval` for energy.  It keeps no
+model or constraint arithmetic of its own, so it stays independent of the
+fast paths the other solvers take.  Intended as the ground-truth oracle at
+desk scale; refuses instances whose search-space estimate exceeds the
+evaluation cap.
+
+Every split fixes every row sum, so a candidate's validity and energy depend
+only on its aggregate (mu, per-class outgoing/incoming/deployed counts per
+server).  Each aggregate is judged once, at its first split in enumeration
+order; a later split with the same aggregate has the same energy and cannot
+win a strict comparison, so the memo changes neither the result nor the
+count of evaluated splits.
 """
 
 from __future__ import annotations
@@ -12,9 +22,6 @@ import math
 import time
 from itertools import product
 
-from . import model
-from .calibration import idle_coeff, kpi_coeffs, load_coeff, sm_overhead_coeff
-from .model import StrategyId
 from .problem import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -23,7 +30,10 @@ from .problem import (
     SolveLimits,
     SolveReport,
     annotate_plan,
+    drain_ok,
+    identity_plan,
     mip_gap,
+    objective_eval,
     validate_plan,
 )
 
@@ -72,13 +82,7 @@ def solve_bruteforce(problem: SalProblem, limits: SolveLimits = None):
 
     n = problem.n_servers
     classes = problem.classes
-    params, cal = problem.params, problem.cal
-    servers = problem.state.servers
     staged = problem.staged
-    totals = problem.totals
-    rho = params.rho_mb
-    strategy = params.strategy
-    sdl = strategy is StrategyId.SDL
 
     def report(status, objective, nodes, detail=""):
         lb = objective if objective is not None else math.inf
@@ -88,74 +92,34 @@ def solve_bruteforce(problem: SalProblem, limits: SolveLimits = None):
             nodes_explored=nodes, detail=detail,
         )
 
-    # population-level infeasibility needs no enumeration, check before
-    # refusing on size
-    if sdl:
-        verdict = model.sdl_feasible(totals, params, cal)
-        if not verdict.feasible:
-            return None, report(STATUS_INFEASIBLE, None, 0, "(21)")
+    # backend infeasibility (21) depends on the population alone, so every
+    # candidate shares the identity plan's verdict; check before refusing on
+    # size
+    if "(21)" in validate_plan(problem, identity_plan(problem)).violations:
+        return None, report(STATUS_INFEASIBLE, None, 0, "(21)")
 
     est = search_space_estimate(problem)
     if est > limits.eval_cap:
         raise SearchSpaceError(est, limits.eval_cap)
 
-    # per-(strategy, rho) timing coefficients, fetched once
-    coeff = dict(kpi_coeffs(cal, strategy.value, None if sdl else rho))
-    inst_c = kpi_coeffs(cal, StrategyId.SDL.value, None)
-    delta_d = coeff["delta_d"]
-    p_cpu = {c: load_coeff(cal, c, "CPU") for c in classes}
-    p_mem = {c: load_coeff(cal, c, "MEM") for c in classes}
-    p_dsk = {c: load_coeff(cal, c, "DISK") for c in classes}
-    q = {r: idle_coeff(cal, r) for r in ("CPU", "MEM", "DISK")}
-    if sdl:
-        share = {
-            r: model.strategy_overhead(strategy, r, totals, n, cal, True)
-            for r in ("CPU", "MEM", "DISK")
-        }
-    else:
-        share = {r: sm_overhead_coeff(cal, strategy.value, r)
-                 for r in ("CPU", "MEM", "DISK")}
-
-    def t_mig(out_count):
-        if out_count == 0:
-            return 0.0
-        return coeff["delta_m"] * out_count + coeff["b_m"]
-
-    def t_inst(new_count):
-        if new_count == 0:
-            return 0.0
-        return inst_c["delta_m"] * new_count + inst_c["b_m"]
-
     rows = [(cls, src) for cls in classes for src in range(n + 1)]
-    mu_axes = [[1] if not srv.optional_flag else [0, 1] for srv in servers]
+    mu_axes = [[1] if not srv.optional_flag else [0, 1]
+               for srv in problem.state.servers]
+    drainable = [drain_ok(problem, s) for s in range(n)]
     comp_cache = {}
+    judged = set()  # aggregates already judged
 
     best_obj = None
-    best_mu = None
-    best_combo = None
+    best_plan = None
     evaluated = 0
 
     for mu in product(*mu_axes):
         active = [s for s in range(n) if mu[s]]
         if not active:
             continue  # at least one mandatory server exists
-
-        # a server that powers off must drain completely: check its budget once
-        drain_ok = True
-        for s in range(n):
-            if mu[s]:
-                continue
-            out_total = sum(staged[cls][s] for cls in classes)
-            if out_total == 0:
-                continue
-            if not sdl and delta_d * out_total > params.max_sm_downtime * (1 + 1e-9):
-                drain_ok = False
-                break
-            w = sum(t_mig(staged[cls][s]) for cls in classes)
-            if w > params.slot_length * (1 + 1e-9):
-                drain_ok = False
-                break
-        if not drain_ok:
+        # a server that powers off must drain completely; validate_plan would
+        # reject every split of such a mu, so skip them without counting
+        if not all(mu[s] or drainable[s] for s in range(n)):
             continue
 
         # destination splits per row, restricted to active servers
@@ -175,104 +139,37 @@ def solve_bruteforce(problem: SalProblem, limits: SolveLimits = None):
 
         for combo in product(*per_row):
             evaluated += 1
-            # aggregates per (class, server)
             out = {cls: [0] * n for cls in classes}
             arr = {cls: [0] * n for cls in classes}
             dep = {cls: [0] * n for cls in classes}
-            hosted = {cls: [0] * n for cls in classes}
-            ok = True
             for (cls, src), split in zip(rows, combo):
                 for pos, v in enumerate(split):
                     dst = active[pos]
                     if src == n:
                         dep[cls][dst] += v
-                    elif dst == src:
-                        hosted[cls][dst] += v
-                    else:
+                    elif dst != src:
                         out[cls][src] += v
                         arr[cls][dst] += v
-            for cls in classes:
-                for s in active:
-                    hosted[cls][s] += arr[cls][s] + dep[cls][s]
-
-            # powered optional servers must host something
-            for s in active:
-                if servers[s].optional_flag and \
-                        sum(hosted[cls][s] for cls in classes) == 0:
-                    ok = False
-                    break
-            if not ok:
+            aggregate = (mu,) + tuple(
+                tuple(out[cls] + arr[cls] + dep[cls]) for cls in classes)
+            if aggregate in judged:
                 continue
+            judged.add(aggregate)
 
-            # downtime budget and migration windows at each source
-            windows = [0.0] * n
-            for s in range(n):
-                o_tot = sum(out[cls][s] for cls in classes)
-                if not sdl and o_tot and \
-                        delta_d * o_tot > params.max_sm_downtime * (1 + 1e-9):
-                    ok = False
-                    break
-                w = sum(t_mig(out[cls][s]) + t_inst(dep[cls][s])
-                        for cls in classes)
-                if w > params.slot_length * (1 + 1e-9):
-                    ok = False
-                    break
-                windows[s] = w
-            if not ok:
+            x = {cls: [[0] * (n + 1) for _ in range(n + 1)] for cls in classes}
+            for (cls, src), split in zip(rows, combo):
+                for pos, v in enumerate(split):
+                    x[cls][src][active[pos]] = v
+            plan = MigrationPlan(x=x, mu=mu)
+            if not validate_plan(problem, plan).valid:
                 continue
-
-            # capacity at the final hosting (mirrors the resource model)
-            for s in active:
-                if sdl:
-                    over = share
-                else:
-                    participates = sum(out[cls][s] for cls in classes) > 0
-                    over = share if participates else None
-                cpu = q["CPU"] + (over["CPU"] if over else 0.0)
-                mem = q["MEM"] + (over["MEM"] if over else 0.0)
-                dsk = q["DISK"] + (over["DISK"] if over else 0.0)
-                for cls in classes:
-                    h = hosted[cls][s]
-                    cpu += p_cpu[cls] * h
-                    mem += p_mem[cls] * h
-                    dsk += p_dsk[cls] * h
-                if cpu > servers[s].cpu_cap * (1 + 1e-9) or \
-                        mem > servers[s].mem_cap * (1 + 1e-9) or \
-                        dsk > servers[s].disk_cap * (1 + 1e-9):
-                    ok = False
-                    break
-            if not ok:
-                continue
-
-            energy = 0.0
-            for s in range(n):
-                energy += model.server_energy(
-                    {cls: out[cls][s] for cls in classes},
-                    {cls: arr[cls][s] for cls in classes},
-                    {cls: hosted[cls][s] - arr[cls][s] - dep[cls][s]
-                     for cls in classes},
-                    {cls: dep[cls][s] for cls in classes},
-                    {cls: staged[cls][s] for cls in classes},
-                    mu[s], totals, n, params, cal,
-                )
+            energy = objective_eval(problem, plan)
             if best_obj is None or energy < best_obj:
                 best_obj = energy
-                best_mu = mu
-                best_combo = combo
+                best_plan = plan
 
-    if best_obj is None:
+    if best_plan is None:
         return None, report(STATUS_INFEASIBLE, None, evaluated,
                             "no feasible assignment in the full search space")
-
-    # rebuild the winning tensor
-    active = [s for s in range(n) if best_mu[s]]
-    x = {cls: [[0] * (n + 1) for _ in range(n + 1)] for cls in classes}
-    for (cls, src), split in zip(rows, best_combo):
-        for pos, v in enumerate(split):
-            x[cls][src][active[pos]] = v
-    plan = MigrationPlan(x=x, mu=best_mu)
-    check = validate_plan(problem, plan)
-    if not check.valid:  # pragma: no cover - enumeration and validator agree
-        raise AssertionError(f"oracle produced an invalid plan: {check.violations}")
-    plan = annotate_plan(problem, plan)
+    plan = annotate_plan(problem, best_plan)
     return plan, report(STATUS_OPTIMAL, plan.energy_total, evaluated)

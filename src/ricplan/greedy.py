@@ -13,7 +13,7 @@ import math
 import time
 
 from . import model
-from .calibration import idle_coeff, kpi_coeffs, load_coeff
+from .calibration import idle_coeff, load_coeff
 from .model import StrategyId
 from .problem import (
     STATUS_GAP,
@@ -21,6 +21,7 @@ from .problem import (
     SalProblem,
     SolveReport,
     annotate_plan,
+    drain_ok,
     plan_from_aggregates,
     validate_plan,
 )
@@ -45,7 +46,6 @@ def solve_greedy(problem: SalProblem, limits=None):
     servers = problem.state.servers
     staged = problem.staged
     totals = problem.totals
-    rho = params.rho_mb
     strategy = params.strategy
     sdl = strategy is StrategyId.SDL
 
@@ -54,23 +54,8 @@ def solve_greedy(problem: SalProblem, limits=None):
             t0, None, STATUS_INFEASIBLE, "(21) backend maintenance budget"
         )
 
-    coeff = kpi_coeffs(cal, strategy.value, None if sdl else rho)
-
-    def drainable(s: int) -> bool:
-        out_total = sum(staged[cls][s] for cls in classes)
-        if out_total == 0:
-            return True
-        if not sdl and coeff["delta_d"] * out_total > \
-                params.max_sm_downtime * (1 + 1e-9):
-            return False
-        window = sum(
-            model.migration_duration(strategy, staged[cls][s], cal, rho)
-            for cls in classes
-        )
-        return window <= params.slot_length * (1 + 1e-9)
-
     must_on = [s for s in range(n) if not servers[s].optional_flag or
-               not drainable(s)]
+               not drain_ok(problem, s)]
 
     if sdl:
         share = {r: model.strategy_overhead(strategy, r, totals, n, cal, True)

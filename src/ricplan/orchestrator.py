@@ -1,9 +1,10 @@
 """Timeslot lifecycle around the solver: apply workload changes, pick a
 plan, score it against the keep-everything-on baseline, advance the state.
 
-Also hosts the two parameter sweeps used in the experiment scripts: a
-feasibility grid (how many xApps each strategy configuration can carry) and
-an energy grid (realized savings and activation ratios across populations).
+Also hosts the two parameter sweeps behind `ricplan feasibility` and
+`ricplan sweep`: a feasibility grid (how many xApps each strategy
+configuration can carry) and an energy grid (realized savings and activation
+ratios across populations).
 """
 
 from __future__ import annotations

@@ -26,11 +26,10 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from . import model
-from .calibration import CalibrationSet, load_coeff, sm_overhead_coeff
+from .calibration import CalibrationSet
 from .model import (
     ClusterState,
     KpiBundle,
-    ModelDomainError,
     ScenarioParams,
     StrategyId,
 )
@@ -57,14 +56,12 @@ class SalProblem:
     """Immutable problem instance.
 
     `staged` is the initial-count matrix extended with the staging-server row
-    (index n_servers) holding pending deployments.  big_M exceeds the total
-    number of xApps that could ever move, keeping activation gating exact.
+    (index n_servers) holding pending deployments.
     """
 
     state: ClusterState
     params: ScenarioParams
     cal: CalibrationSet
-    big_M: int
     staged: Mapping[str, tuple]
 
     @property
@@ -191,9 +188,7 @@ def build_problem(state: ClusterState, params: ScenarioParams,
         cls: tuple(state.initial_counts[cls]) + (state.pending_deploys[cls],)
         for cls in state.classes
     }
-    total = sum(sum(row) for row in staged.values())
-    return SalProblem(state=state, params=params, cal=cal,
-                      big_M=total + 1, staged=staged)
+    return SalProblem(state=state, params=params, cal=cal, staged=staged)
 
 
 def identity_plan(problem: SalProblem) -> MigrationPlan:
@@ -237,6 +232,28 @@ def _resource_participates(problem: SalProblem, mu_s: int, outgoing_s: int) -> b
     if problem.params.strategy is StrategyId.SDL:
         return bool(mu_s)
     return bool(mu_s) and outgoing_s > 0
+
+
+def _exceeds(value: float, limit: float) -> bool:
+    return value > limit * (1.0 + _CAP_SLACK)
+
+
+def _source_downtime(problem: SalProblem, outgoing) -> float:
+    """Downtime (20) at a source sending outgoing[k] xApps of class k."""
+    params, cal = problem.params, problem.cal
+    return sum(model.sm_downtime(params.strategy, n, cal, params.rho_mb)
+               for n in outgoing)
+
+
+def _source_window(problem: SalProblem, outgoing, deploys) -> float:
+    """Migration window of a server sending outgoing[k] and instantiating
+    deploys[k] xApps of class k."""
+    params, cal = problem.params, problem.cal
+    return sum(
+        model.migration_duration(params.strategy, o, cal, params.rho_mb)
+        + model.instantiation_time(d, cal)
+        for o, d in zip(outgoing, deploys)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +357,22 @@ def validate_plan(problem: SalProblem, plan: MigrationPlan) -> ValidationResult:
         )
         caps = (servers[s].cpu_cap, servers[s].mem_cap, servers[s].disk_cap)
         for used, cap, name in zip(usage, caps, ("CPU", "MEM", "DISK")):
-            if used > cap * (1.0 + _CAP_SLACK):
+            if _exceeds(used, cap):
                 hit("(18)", f"{servers[s].id} {name} {used:.6g} over cap {cap:.6g}")
 
-    params, cal = problem.params, problem.cal
-    rho = params.rho_mb
+    params = problem.params
 
     # (20) downtime budget per source server, stateful strategies only
     if params.strategy in model.SM_STRATEGIES:
         for s in range(n):
-            t_d = sum(
-                model.sm_downtime(params.strategy, o[cls][s], cal, rho)
-                for cls in classes
-            )
-            if t_d > params.max_sm_downtime * (1.0 + _CAP_SLACK):
+            t_d = _source_downtime(problem, [o[cls][s] for cls in classes])
+            if _exceeds(t_d, params.max_sm_downtime):
                 hit("(20)", f"{servers[s].id} downtime {t_d:.6g} s over "
                             f"budget {params.max_sm_downtime:.6g} s")
 
     # (21) backend maintenance feasibility, backend strategy only
     if params.strategy is StrategyId.SDL:
-        verdict = model.sdl_feasible(totals, params, cal)
+        verdict = model.sdl_feasible(totals, params, problem.cal)
         if not verdict.feasible:
             hit("(21)", f"defrag downtime {verdict.defrag_downtime:.6g} s "
                         f"(budget {params.max_defrag_downtime:.6g} s, "
@@ -367,17 +380,30 @@ def validate_plan(problem: SalProblem, plan: MigrationPlan) -> ValidationResult:
 
     # migration windows must fit in the slot
     for s in range(n):
-        w = sum(
-            model.migration_duration(params.strategy, o[cls][s], cal, rho)
-            + model.instantiation_time(d[cls][s], cal)
-            for cls in classes
-        )
-        if w > params.slot_length * (1.0 + _CAP_SLACK):
+        w = _source_window(problem, [o[cls][s] for cls in classes],
+                          [d[cls][s] for cls in classes])
+        if _exceeds(w, params.slot_length):
             hit("window", f"{servers[s].id} migration window {w:.6g} s exceeds "
                           f"slot {params.slot_length:.6g} s")
 
     return ValidationResult(valid=not violations, violations=tuple(violations),
                             messages=tuple(messages))
+
+
+def drain_ok(problem: SalProblem, s: int) -> bool:
+    """Whether server s may power off: moving every xApp it hosts keeps it
+    within its downtime budget (20) and its migration window within the slot.
+
+    Uses the same per-source sums as validate_plan; capacity at the
+    destinations is left to the caller.
+    """
+    params = problem.params
+    outgoing = [problem.staged[cls][s] for cls in problem.classes]
+    if params.strategy in model.SM_STRATEGIES and _exceeds(
+            _source_downtime(problem, outgoing), params.max_sm_downtime):
+        return False
+    return not _exceeds(_source_window(problem, outgoing, [0] * len(outgoing)),
+                        params.slot_length)
 
 
 # ---------------------------------------------------------------------------

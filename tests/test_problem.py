@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ricplan import (
     ClusterState,
@@ -11,10 +12,12 @@ from ricplan import (
     annotate_plan,
     build_problem,
     identity_plan,
+    load_calibration,
     objective_eval,
     validate_plan,
 )
 from ricplan.problem import (
+    drain_ok,
     lexmin_transport,
     mip_gap,
     plan_aggregates,
@@ -291,3 +294,45 @@ def test_report_to_dict_nonfinite():
     assert doc["mip_gap"] is None
     assert doc["status"] == "infeasible"
     assert "trace" not in doc
+
+
+@st.composite
+def drain_cases(draw):
+    """A 3-server problem under a calibration whose KPI intercepts take
+    either sign, plus an optional server s to drain."""
+    strategy = draw(st.sampled_from(["sdl", "sm-mr", "sm-md"]))
+    rho = 1.0 if strategy == "sdl" else \
+        draw(st.sampled_from([1.0, 10.0, 100.0]))
+    coeffs = {
+        "delta_d": draw(st.sampled_from([0.0, 5.74, 10.55, 23.3])),
+        "b_d": draw(st.sampled_from([-20.0, -5.0, 0.0, 30.0, 150.0])),
+        "delta_m": draw(st.sampled_from([0.08, 10.55, 20.28])),
+        "b_m": draw(st.sampled_from([-5.0, 0.0, 4.27, 40.0])),
+    }
+    cal = load_calibration({"kpi": {strategy: {str(rho): coeffs}}})
+    counts = {cls: tuple(draw(st.integers(0, 5)) for _ in range(3))
+              for cls in ("A", "B")}
+    state = ClusterState(servers=make_servers(3), initial_counts=counts,
+                         initial_active=(1, 1, 1))
+    params = make_params(strategy, rho_mb=rho,
+                         slot=draw(st.sampled_from([120.0, 3600.0])),
+                         td_max=draw(st.integers(0, 60)) * 5.0)
+    return build_problem(state, params, cal), draw(st.integers(1, 2))
+
+
+@settings(max_examples=300)
+@given(drain_cases())
+def test_drain_rule_matches_validator(case):
+    # the drain rule holds exactly when moving all of s's xApps to the
+    # mandatory server breaks neither (20) nor the window at any server
+    problem, s = case
+    plan = identity_plan(problem)
+    x = {}
+    for cls, rows in plan.x.items():
+        rows = [list(r) for r in rows]
+        rows[s][0], rows[s][s] = rows[s][s], 0
+        x[cls] = rows
+    mu = tuple(0 if i == s else 1 for i in range(problem.n_servers))
+    violations = validate_plan(problem, MigrationPlan(x=x, mu=mu)).violations
+    assert drain_ok(problem, s) == \
+        ("(20)" not in violations and "window" not in violations)

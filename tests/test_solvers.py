@@ -9,6 +9,7 @@ from ricplan import (
     ClusterState,
     SolveLimits,
     build_problem,
+    load_calibration,
     solve_bnb,
     solve_bruteforce,
     solve_greedy,
@@ -158,6 +159,43 @@ def test_greedy_never_beats_bnb(cal, low_load_state, low_load_params):
     gplan, greport = solve_greedy(problem)
     bplan, breport = solve_bnb(problem, SolveLimits())
     assert greport.objective >= breport.objective * (1 - 1e-9)
+
+
+# a nonzero stateful downtime intercept b_d is charged once per migrating
+# class, so draining s2 (one A, one B) costs 2 * (10.55 + b_d) seconds
+
+@pytest.mark.parametrize("b_d, td_max, mu, energy", [
+    (150.0, 300.0, (1, 1), 935676.0),  # 321.1 s: s2 must stay on
+    (-5.0, 12.0, (1, 0), 507005.158),  # 11.1 s: s2 drains
+])
+def test_solvers_drain_with_downtime_intercept(b_d, td_max, mu, energy):
+    cal = load_calibration({"kpi": {"sm-mr": {"1.0": {
+        "delta_d": 10.55, "b_d": b_d, "delta_m": 10.55, "b_m": 0.0}}}})
+    state = ClusterState(servers=make_servers(2),
+                         initial_counts={"A": (0, 1), "B": (0, 1)},
+                         initial_active=(1, 1))
+    problem = build_problem(state, make_params("sm-mr", td_max=td_max), cal)
+    for solver in (solve_bruteforce, solve_bnb, solve_greedy):
+        plan, report = solver(problem, SolveLimits())
+        assert plan.mu == mu, solver.__name__
+        assert math.isclose(report.objective, energy, rel_tol=1e-9)
+        assert validate_plan(problem, plan).valid
+
+
+def test_bnb_uses_state_size_entry_of_backend_calibration():
+    # a kpi.sdl entry at the scenario's state size overrides the wildcard
+    # row for migration windows; bnb must bound with the same entry
+    cal = load_calibration({"kpi": {"sdl": {"1.0": {
+        "delta_d": 0.0, "b_d": 0.0, "delta_m": 0.0, "b_m": 0.0}}}})
+    state = ClusterState(servers=make_servers(3, n_mandatory=2, cpu=64.0,
+                                              mem=64.0),
+                         initial_counts={"A": (1, 1, 1)},
+                         initial_active=(1, 1, 1), pending_deploys={"A": 1})
+    problem = build_problem(state, make_params("sdl"), cal)
+    _, bf = solve_bruteforce(problem, SolveLimits())
+    _, bb = solve_bnb(problem, SolveLimits())
+    assert bb.status == bf.status == STATUS_OPTIMAL
+    assert math.isclose(bb.objective, bf.objective, rel_tol=1e-9)
 
 
 # randomized cross-checks
