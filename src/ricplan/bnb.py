@@ -25,9 +25,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import model
-from .calibration import idle_coeff, kpi_coeffs, load_coeff, sm_overhead_coeff
 from .greedy import solve_greedy
-from .model import StrategyId
+from .model import RESOURCES, StrategyId, exceeds
 from .problem import (
     STATUS_GAP,
     STATUS_INFEASIBLE,
@@ -41,12 +40,12 @@ from .problem import (
     mip_gap,
     objective_eval,
     plan_from_aggregates,
+    source_window,
     validate_plan,
 )
 
 _INT_TOL = 1e-6
 _ENUM_CAP = 256
-_RES = ("CPU", "MEM", "DISK")
 
 
 class _Node:
@@ -74,41 +73,26 @@ class _Node:
 
 def _context(problem: SalProblem):
     """Constant data shared by every node of one solve."""
-    state, params, cal = problem.state, problem.params, problem.cal
+    state, params = problem.state, problem.params
+    co = problem.coeffs
     classes = problem.classes
     K, S = len(classes), problem.n_servers
-    strategy = params.strategy
-    sdl = strategy is StrategyId.SDL
+    sdl = params.strategy is StrategyId.SDL
 
     n0 = [[problem.staged[cls][s] for s in range(S)] for cls in classes]
     pend = [problem.staged[cls][S] for cls in classes]
     pool = [sum(row) for row in n0]
     n_tot = [pool[k] + pend[k] for k in range(K)]
-    totals = problem.totals
 
-    mig = kpi_coeffs(cal, strategy.value, params.rho_mb)
-    inst = kpi_coeffs(cal, StrategyId.SDL.value, None)
-    p_e = [load_coeff(cal, cls, "E") for cls in classes]
-    q_e = idle_coeff(cal, "E")
-    loads = {r: [load_coeff(cal, cls, r) for cls in classes] for r in _RES}
-    idles = {r: idle_coeff(cal, r) for r in _RES}
+    p_e, q_e = co.loads["E"], co.idle["E"]
     caps = [(srv.cpu_cap, srv.mem_cap, srv.disk_cap) for srv in state.servers]
-    if sdl:
-        share = {r: model.strategy_overhead(strategy, r, totals, S, cal, True)
-                 for r in _RES}
-        e_tau_mu = model.sdl_energy_per_server(totals, S, params.slot_length, cal)
-        e_tau_o = 0.0
-        b_e_tau = 0.0
-    else:
-        share = {r: 0.0 for r in _RES}  # engine overhead left to exact checks
-        e_tau_mu = 0.0
-        b_e_tau = sm_overhead_coeff(cal, strategy.value, "E")
-        e_tau_o = b_e_tau * mig["delta_m"]
+    # the engine's CPU overhead is left to exact checks
+    share = co.overhead if sdl else dict.fromkeys(RESOURCES, 0.0)
     init_power = [q_e + sum(p_e[k] * n0[k][s] for k in range(K))
                   for s in range(S)]
 
-    use_tm = mig["b_m"] > 0 and any(pool)
-    use_ti = inst["b_m"] > 0 and any(pend)
+    use_tm = co.kpi["b_m"] > 0 and any(pool)
+    use_ti = co.inst["b_m"] > 0 and any(pend)
 
     nv = 3 * K * S + 4 * S
     base_tm = nv
@@ -119,11 +103,10 @@ def _context(problem: SalProblem):
         nv += K * S
 
     return {
-        "problem": problem, "classes": classes, "K": K, "S": S,
+        "problem": problem, "co": co, "classes": classes, "K": K, "S": S,
         "sdl": sdl, "params": params, "n0": n0, "pend": pend, "pool": pool,
-        "n_tot": n_tot, "mig": mig, "inst": inst, "p_e": p_e, "q_e": q_e,
-        "loads": loads, "idles": idles, "caps": caps, "share": share,
-        "e_tau_mu": e_tau_mu, "e_tau_o": e_tau_o, "b_e_tau": b_e_tau,
+        "n_tot": n_tot, "caps": caps, "share": share,
+        "e_tau_o": co.engine_power * co.kpi["delta_m"],
         "init_power": init_power,
         "use_tm": use_tm, "use_ti": use_ti, "nvar": nv,
         "base_tm": base_tm, "base_ti": base_ti,
@@ -151,23 +134,6 @@ def _root_node(ctx):
     return _Node(-math.inf, mu_lo, mu_hi, o_lo, o_hi, m_lo, m_hi, d_lo, d_hi)
 
 
-def _window_extremes(ctx, node, s):
-    """Lowest and highest busy window reachable inside the node's box."""
-    K, S = ctx["K"], ctx["S"]
-    dm, bm = ctx["mig"]["delta_m"], ctx["mig"]["b_m"]
-    dt, bt = ctx["inst"]["delta_m"], ctx["inst"]["b_m"]
-    lo = hi = 0.0
-    for k in range(K):
-        i = k * S + s
-        o0, o1 = node.o_lo[i], node.o_hi[i]
-        d0, d1 = node.d_lo[i], node.d_hi[i]
-        lo += (dm * o0 + bm) if o0 > 0 else 0.0
-        hi += (dm * o1 + bm) if o1 > 0 else 0.0
-        lo += (dt * d0 + bt) if d0 > 0 else 0.0
-        hi += (dt * d1 + bt) if d1 > 0 else 0.0
-    return lo, hi
-
-
 def _solve_lp(ctx, node):
     """LP relaxation of the node; (value, x) or (None, None) if infeasible."""
     K, S = ctx["K"], ctx["S"]
@@ -175,10 +141,10 @@ def _solve_lp(ctx, node):
     i_o, i_m, i_d = ctx["i_o"], ctx["i_m"], ctx["i_d"]
     i_w, i_p, i_z, i_mu = ctx["i_w"], ctx["i_p"], ctx["i_z"], ctx["i_mu"]
     n0, pend, pool, n_tot = ctx["n0"], ctx["pend"], ctx["pool"], ctx["n_tot"]
-    p_e, q_e = ctx["p_e"], ctx["q_e"]
-    params = ctx["params"]
+    co, problem, params = ctx["co"], ctx["problem"], ctx["params"]
+    p_e, q_e = co.loads["E"], co.idle["E"]
     slot = params.slot_length
-    servers = ctx["problem"].state.servers
+    servers = problem.state.servers
 
     bounds = [None] * nv
     w_hi = [0.0] * S
@@ -191,12 +157,16 @@ def _solve_lp(ctx, node):
             bounds[i_m(k, s)] = (node.m_lo[i], node.m_hi[i])
             bounds[i_d(k, s)] = (node.d_lo[i], node.d_hi[i])
     for s in range(S):
-        wl, wh = _window_extremes(ctx, node, s)
-        if wl > slot * (1 + 1e-9):
+        # the lowest and highest window in the box, at its two corners
+        col = range(s, K * S, S)
+        if exceeds(source_window(problem, [node.o_lo[i] for i in col],
+                                 [node.d_lo[i] for i in col]), slot):
             return None, None  # every point in the box blows the slot
-        w_hi[s] = min(slot, wh)
-        lo = ctx["q_e"] * node.mu_lo[s]
-        hi = ctx["q_e"] * node.mu_hi[s]
+        w_hi[s] = min(slot, source_window(problem,
+                                          [node.o_hi[i] for i in col],
+                                          [node.d_hi[i] for i in col]))
+        lo = q_e * node.mu_lo[s]
+        hi = q_e * node.mu_hi[s]
         for k in range(K):
             i = k * S + s
             h_lo = max(0, n0[k][s] - node.o_hi[i]) + node.m_lo[i] + node.d_lo[i]
@@ -224,15 +194,15 @@ def _solve_lp(ctx, node):
         c[i_w(s)] = ctx["init_power"][s]
         c[i_p(s)] = slot
         c[i_z(s)] = -1.0
-        c[i_mu(s)] += ctx["e_tau_mu"]
+        c[i_mu(s)] += co.backend_energy
     if ctx["e_tau_o"]:
         for k in range(K):
             for s in range(S):
                 c[i_o(k, s)] += ctx["e_tau_o"]
-    if ctx["use_tm"] and ctx["b_e_tau"]:
+    if ctx["use_tm"] and co.engine_power:
         for k in range(K):
             for s in range(S):
-                c[ctx["base_tm"] + k * S + s] += ctx["b_e_tau"] * ctx["mig"]["b_m"]
+                c[ctx["base_tm"] + k * S + s] += co.engine_power * co.kpi["b_m"]
 
     a_eq, b_eq = [], []
     for k in range(K):
@@ -247,8 +217,8 @@ def _solve_lp(ctx, node):
             row[i_d(k, s)] = 1.0
         a_eq.append(row)
         b_eq.append(float(pend[k]))
-    dm, bm = ctx["mig"]["delta_m"], ctx["mig"]["b_m"]
-    dt, bt = ctx["inst"]["delta_m"], ctx["inst"]["b_m"]
+    dm, bm = co.kpi["delta_m"], co.kpi["b_m"]
+    dt, bt = co.inst["delta_m"], co.inst["b_m"]
     for s in range(S):
         row = np.zeros(nv)
         row[i_w(s)] = 1.0
@@ -317,12 +287,12 @@ def _solve_lp(ctx, node):
                 rhs += n0[k][s]
             a_ub.append(row)
             b_ub.append(rhs)
-        for ri, r in enumerate(_RES):
+        for ri, r in enumerate(RESOURCES):
             row = np.zeros(nv)
-            row[i_mu(s)] = ctx["idles"][r] + ctx["share"][r] - ctx["caps"][s][ri]
+            row[i_mu(s)] = co.idle[r] + ctx["share"][r] - ctx["caps"][s][ri]
             rhs = 0.0
             for k in range(K):
-                p = ctx["loads"][r][k]
+                p = co.loads[r][k]
                 row[i_o(k, s)] -= p
                 row[i_m(k, s)] += p
                 row[i_d(k, s)] += p
@@ -332,7 +302,7 @@ def _solve_lp(ctx, node):
         if not ctx["sdl"]:
             row = np.zeros(nv)
             for k in range(K):
-                row[i_o(k, s)] = ctx["mig"]["delta_d"]
+                row[i_o(k, s)] = co.kpi["delta_d"]
             a_ub.append(row)
             b_ub.append(params.max_sm_downtime)
         # McCormick envelope for z = W * P

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .calibration import (
     CalibrationError,
+    CalibrationLookupError,
     DegenerateFitError,
     default_calibration,
     fit_linear,
@@ -326,7 +327,7 @@ def main(argv=None) -> int:
     except DegenerateFitError as exc:
         print(f"error: degenerate fit: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, CalibrationError) as exc:
+    except (ScenarioError, CalibrationError, CalibrationLookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

@@ -13,8 +13,7 @@ import math
 import time
 
 from . import model
-from .calibration import idle_coeff, load_coeff
-from .model import StrategyId
+from .model import StrategyId, exceeds
 from .problem import (
     STATUS_GAP,
     STATUS_INFEASIBLE,
@@ -23,10 +22,10 @@ from .problem import (
     annotate_plan,
     drain_ok,
     plan_from_aggregates,
+    source_window,
+    usage,
     validate_plan,
 )
-
-_RES = ("CPU", "MEM", "DISK")
 
 
 def _heuristic_report(t0, objective, status, detail=""):
@@ -45,11 +44,9 @@ def solve_greedy(problem: SalProblem, limits=None):
     params, cal = problem.params, problem.cal
     servers = problem.state.servers
     staged = problem.staged
-    totals = problem.totals
-    strategy = params.strategy
-    sdl = strategy is StrategyId.SDL
+    sdl = params.strategy is StrategyId.SDL
 
-    if sdl and not model.sdl_feasible(totals, params, cal).feasible:
+    if sdl and not model.sdl_feasible(problem.totals, params, cal).feasible:
         return None, _heuristic_report(
             t0, None, STATUS_INFEASIBLE, "(21) backend maintenance budget"
         )
@@ -57,77 +54,63 @@ def solve_greedy(problem: SalProblem, limits=None):
     must_on = [s for s in range(n) if not servers[s].optional_flag or
                not drain_ok(problem, s)]
 
-    if sdl:
-        share = {r: model.strategy_overhead(strategy, r, totals, n, cal, True)
-                 for r in _RES}
-    else:
-        share = {r: 0.0 for r in _RES}  # greedy sources all power off
-    p = {r: {c: load_coeff(cal, c, r) for c in classes} for r in _RES}
-    q = {r: idle_coeff(cal, r) for r in _RES}
-    caps = {s: (servers[s].cpu_cap, servers[s].mem_cap, servers[s].disk_cap)
-            for s in range(n)}
-    order = sorted(classes, key=lambda c: -load_coeff(cal, c, "E"))
+    caps = [(srv.cpu_cap, srv.mem_cap, srv.disk_cap) for srv in servers]
+    load_e = problem.coeffs.loads["E"]
+    order = sorted(range(len(classes)), key=lambda k: -load_e[k])
 
     def try_pack(active):
-        """Place drained xApps and deployments; None if something won't fit."""
+        """Place drained xApps and deployments; None if something won't fit.
+
+        Sources all power off, so only the backend strategy charges the
+        active servers its overhead.
+        """
         active = sorted(active)
         closing = [s for s in range(n) if s not in active]
-        hosted = {cls: [staged[cls][s] if s in active else 0 for s in range(n)]
-                  for cls in classes}
+        hosting = {s: [staged[cls][s] for cls in classes] for s in active}
         arrivals = {cls: [0] * n for cls in classes}
         deploys = {cls: [0] * n for cls in classes}
 
-        def usage(s):
-            u = []
-            for i, r in enumerate(_RES):
-                v = q[r] + share[r]
-                for cls in classes:
-                    v += p[r][cls] * (hosted[cls][s] + arrivals[cls][s]
-                                      + deploys[cls][s])
-                u.append(v)
-            return u
-
-        def fits(s, cls):
-            u = usage(s)
-            for i, r in enumerate(_RES):
-                if u[i] + p[r][cls] > caps[s][i] * (1 + 1e-9):
-                    return False
-            return True
-
-        def best_fit(cls):
+        def best_fit(k):
             # tightest CPU headroom that still fits, lowest index on ties
             pick, pick_room = None, None
             for s in active:
-                if not fits(s, cls):
+                final = hosting[s]
+                room = caps[s][0] - usage(problem, final, sdl)[0]
+                final[k] += 1
+                over = any(map(exceeds, usage(problem, final, sdl), caps[s]))
+                final[k] -= 1
+                if over:
                     continue
-                room = caps[s][0] - usage(s)[0]
                 if pick is None or room < pick_room - 1e-12:
                     pick, pick_room = s, room
+            if pick is not None:
+                hosting[pick][k] += 1
             return pick
 
-        for cls in order:
+        for k in order:
+            cls = classes[k]
             migrated = sum(staged[cls][s] for s in closing)
             for _ in range(migrated):
-                s = best_fit(cls)
+                s = best_fit(k)
                 if s is None:
                     return None
                 arrivals[cls][s] += 1
             for _ in range(staged[cls][n]):
-                s = best_fit(cls)
+                s = best_fit(k)
                 if s is None:
                     return None
                 deploys[cls][s] += 1
 
         # instantiation windows must fit the slot
+        no_moves = [0] * len(classes)
         for s in active:
-            w = sum(model.instantiation_time(deploys[cls][s], cal)
-                    for cls in classes)
-            if w > params.slot_length * (1 + 1e-9):
+            w = source_window(problem, no_moves,
+                              [deploys[cls][s] for cls in classes])
+            if exceeds(w, params.slot_length):
                 return None
         return arrivals, deploys
 
     active = list(must_on)
-    packed = None
     while True:
         packed = try_pack(active)
         if packed is not None:
@@ -141,16 +124,9 @@ def solve_greedy(problem: SalProblem, limits=None):
         active.append(closed[0])
 
     arrivals, deploys = packed
-    active = sorted(active)
     # drop optional servers we opened but never used
-    keep = []
-    for s in active:
-        hosted_total = sum(staged[cls][s] + arrivals[cls][s] + deploys[cls][s]
-                           for cls in classes)
-        if servers[s].optional_flag and hosted_total == 0:
-            continue
-        keep.append(s)
-    active = keep
+    active = [s for s in active if not servers[s].optional_flag or any(
+        staged[cls][s] + arrivals[cls][s] + deploys[cls][s] for cls in classes)]
 
     mu = tuple(1 if s in active else 0 for s in range(n))
     outgoing = {
@@ -160,22 +136,9 @@ def solve_greedy(problem: SalProblem, limits=None):
     plan = plan_from_aggregates(problem, mu, outgoing, arrivals, deploys)
     check = validate_plan(problem, plan)
     if not check.valid:
-        # fall back to the no-consolidation plan before giving up
-        all_on = tuple(1 for _ in range(n))
-        no_moves = {cls: [0] * n for cls in classes}
-        fallback = None
-        repack = try_pack(list(range(n)))
-        if repack is not None:
-            arr2, dep2 = repack
-            fallback = plan_from_aggregates(problem, all_on, no_moves,
-                                            arr2, dep2)
-            if not validate_plan(problem, fallback).valid:
-                fallback = None
-        if fallback is None:
-            return None, _heuristic_report(
-                t0, None, STATUS_INFEASIBLE,
-                f"no feasible heuristic plan ({', '.join(check.violations)})",
-            )
-        plan = fallback
+        return None, _heuristic_report(
+            t0, None, STATUS_INFEASIBLE,
+            f"no feasible heuristic plan ({', '.join(check.violations)})",
+        )
     plan = annotate_plan(problem, plan)
     return plan, _heuristic_report(t0, plan.energy_total, STATUS_GAP)

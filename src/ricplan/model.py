@@ -14,6 +14,12 @@ always accrue for declared classes.
 Clamp rule: affine extrapolation far below the measured range can go
 negative (some backend slopes are negative); every evaluated expression,
 including each per-class backend term, is floored at zero before aggregation.
+
+Tolerance rule: a value breaks a capacity, budget or window limit only when
+`exceeds` says so, i.e. when it is above the limit by more than a relative
+1e-9 of floating-point noise.  This is the one tolerance of the package: the
+plan validator, the solvers, the baseline and the energy model's window guard
+all compare through it, so none of them can accept what another rejects.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .calibration import (
 )
 
 RESOURCES = ("CPU", "MEM", "DISK")
+_SLACK = 1e-9  # relative slack on limit comparisons (fp noise)
 
 
 class StrategyId(str, Enum):
@@ -50,6 +57,11 @@ class ModelDomainError(ValueError):
 
 def _clamp(x: float) -> float:
     return x if x > 0.0 else 0.0
+
+
+def exceeds(value: float, limit: float) -> bool:
+    """Whether value breaks limit by more than floating-point noise."""
+    return value > limit * (1.0 + _SLACK)
 
 
 def _as_strategy(strategy) -> StrategyId:
@@ -440,7 +452,7 @@ def server_energy(outgoing: Mapping[str, int], incoming: Mapping[str, int],
         t_m = migration_duration(strategy, outgoing.get(cls, 0), cal, rho)
         durations.append(t_m)
         window += t_m + instantiation_time(new.get(cls, 0), cal)
-    if window > params.slot_length:
+    if exceeds(window, params.slot_length):
         raise ModelDomainError(
             f"migration window {window:.6g} s exceeds slot length "
             f"{params.slot_length:.6g} s"

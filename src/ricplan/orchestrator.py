@@ -34,6 +34,8 @@ from .problem import (
     annotate_plan,
     build_problem,
     plan_aggregates,
+    source_window,
+    usage,
 )
 
 SOLVERS = ("bnb", "bruteforce", "greedy")
@@ -187,53 +189,37 @@ def baseline_plan(state: ClusterState, params: ScenarioParams,
     classes = state.classes
     if any(state.pending_undeploys.get(c, 0) for c in classes):
         raise ValueError("apply undeployments before planning a baseline")
-    hosted = {cls: list(state.initial_counts[cls]) for cls in classes}
-    new = {cls: [0] * n for cls in classes}
-    totals = {cls: sum(hosted[cls]) + state.pending_deploys.get(cls, 0)
-              for cls in classes}
+    problem = build_problem(state, params, cal)
     sdl = params.strategy is StrategyId.SDL
+    hosting = [[state.initial_counts[cls][s] for cls in classes]
+               for s in range(n)]
+    new = {cls: [0] * n for cls in classes}
+    caps = [(srv.cpu_cap, srv.mem_cap, srv.disk_cap) for srv in state.servers]
 
-    def cpu_util(s):
-        u = model.server_resources(
-            state.servers[s], True,
-            {cls: hosted[cls][s] + new[cls][s] for cls in classes},
-            params.strategy, cal, total_counts=totals, server_count=n,
-            participates=sdl,
-        ).cpu
-        return u / state.servers[s].cpu_cap
-
-    def fits(s, cls):
-        trial = {c: hosted[c][s] + new[c][s] + (1 if c == cls else 0)
-                 for c in classes}
-        usage = model.server_resources(
-            state.servers[s], True, trial, params.strategy, cal,
-            total_counts=totals, server_count=n, participates=sdl,
-        )
-        caps = (state.servers[s].cpu_cap, state.servers[s].mem_cap,
-                state.servers[s].disk_cap)
-        return all(u <= c * (1 + 1e-9) for u, c in zip(usage, caps))
-
-    for cls in classes:
+    for k, cls in enumerate(classes):
         for _ in range(state.pending_deploys.get(cls, 0)):
             best, best_util = None, None
             for s in range(n):
-                if not fits(s, cls):
+                hosting[s][k] += 1
+                used = usage(problem, hosting[s], sdl)
+                hosting[s][k] -= 1
+                if any(map(model.exceeds, used, caps[s])):
                     continue
-                new[cls][s] += 1
-                util = cpu_util(s)
-                new[cls][s] -= 1
+                util = used[0] / caps[s][0]
                 if best is None or util < best_util - 1e-12:
                     best, best_util = s, util
             if best is None:
                 raise BaselineInfeasible(
                     f"no server can host another {cls!r} xApp"
                 )
+            hosting[best][k] += 1
             new[cls][best] += 1
 
+    no_moves = [0] * len(classes)
     for s in range(n):
-        window = sum(model.instantiation_time(new[cls][s], cal)
-                     for cls in classes)
-        if window > params.slot_length:
+        window = source_window(problem, no_moves,
+                               [new[cls][s] for cls in classes])
+        if model.exceeds(window, params.slot_length):
             raise BaselineInfeasible(
                 f"instantiation window on server {state.servers[s].id!r} "
                 f"exceeds the slot"
@@ -244,7 +230,7 @@ def baseline_plan(state: ClusterState, params: ScenarioParams,
         rows = []
         for src in range(n):
             row = [0] * n
-            row[src] = hosted[cls][src]
+            row[src] = state.initial_counts[cls][src]
             rows.append(row)
         rows.append(list(new[cls]))
         x[cls] = tuple(tuple(r) for r in rows)
@@ -356,7 +342,8 @@ def feasibility_sweep(spec: SweepSpec, params_template: ScenarioParams,
                             ok = model.sdl_feasible(counts, params, cal).feasible
                         else:
                             t_d = model.sm_downtime(sid, n_total, cal, rho)
-                            ok = t_d <= params.max_sm_downtime
+                            ok = not model.exceeds(t_d,
+                                                   params.max_sm_downtime)
                     except CalibrationLookupError as exc:
                         print(
                             f"note: no calibration for {strategy} at "

@@ -23,18 +23,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Optional
 
 from . import model
-from .calibration import CalibrationSet
+from .calibration import (
+    CalibrationSet,
+    idle_coeff,
+    kpi_coeffs,
+    load_coeff,
+    sm_overhead_coeff,
+)
 from .model import (
+    RESOURCES,
     ClusterState,
     KpiBundle,
     ScenarioParams,
     StrategyId,
+    exceeds,
 )
-
-_CAP_SLACK = 1e-9  # relative slack on capacity/deadline comparisons (fp noise)
 
 STATUS_OPTIMAL = "optimal"
 STATUS_GAP = "gap_reached"
@@ -49,6 +56,28 @@ class SolveLimits:
     time_limit: float = 300.0
     gap_target: float = 0.0
     eval_cap: int = 10_000_000
+
+
+@dataclass(frozen=True)
+class Coeffs:
+    """The calibration constants of one problem, looked up once.
+
+    idle and loads are keyed by metric (E, CPU, MEM, DISK); loads[metric][k]
+    is the per-xApp slope of the k-th class in problem order.  overhead is
+    what a participating server pays per resource (model.strategy_overhead).
+    kpi is the strategy's {delta_d, b_d, delta_m, b_m} line at the scenario's
+    state size, inst the instantiation line.  backend_energy is one server's
+    share of the backend energy over the slot (backend strategy, else 0) and
+    engine_power the migration engine's power (stateful strategies, else 0).
+    """
+
+    idle: Mapping[str, float]
+    loads: Mapping[str, tuple]
+    overhead: Mapping[str, float]
+    kpi: Mapping[str, float]
+    inst: Mapping[str, float]
+    backend_energy: float
+    engine_power: float
 
 
 @dataclass(frozen=True)
@@ -76,6 +105,26 @@ class SalProblem:
     def totals(self) -> dict:
         """Final population per class (deployments in, undeployments gone)."""
         return {cls: sum(row) for cls, row in self.staged.items()}
+
+    @cached_property
+    def coeffs(self) -> Coeffs:
+        params, cal = self.params, self.cal
+        strategy, totals, n = params.strategy, self.totals, self.n_servers
+        sdl = strategy is StrategyId.SDL
+        metrics = ("E",) + RESOURCES
+        return Coeffs(
+            idle={r: idle_coeff(cal, r) for r in metrics},
+            loads={r: tuple(load_coeff(cal, cls, r) for cls in self.classes)
+                   for r in metrics},
+            overhead={r: model.strategy_overhead(strategy, r, totals, n, cal,
+                                                 True) for r in RESOURCES},
+            kpi=kpi_coeffs(cal, strategy.value, params.rho_mb),
+            inst=kpi_coeffs(cal, StrategyId.SDL.value, None),
+            backend_energy=model.sdl_energy_per_server(
+                totals, n, params.slot_length, cal) if sdl else 0.0,
+            engine_power=0.0 if sdl else
+            sm_overhead_coeff(cal, strategy.value, "E"),
+        )
 
 
 @dataclass(frozen=True)
@@ -234,26 +283,39 @@ def _resource_participates(problem: SalProblem, mu_s: int, outgoing_s: int) -> b
     return bool(mu_s) and outgoing_s > 0
 
 
-def _exceeds(value: float, limit: float) -> bool:
-    return value > limit * (1.0 + _CAP_SLACK)
+# The three rules below are the fast path of the model functions named in
+# their docstrings.  They read the problem's coefficients and sum in the same
+# order as those functions, so they agree with them bit for bit.
+
+def usage(problem: SalProblem, hosted, participates: bool) -> tuple:
+    """(CPU, MEM, DISK) use (18) of a powered server hosting hosted[k] xApps
+    of class k; model.server_resources."""
+    co = problem.coeffs
+    out = []
+    for r in RESOURCES:
+        v = co.idle[r]
+        for p, n in zip(co.loads[r], hosted):
+            v += p * n
+        v += co.overhead[r] if participates else 0.0
+        out.append(v if v > 0.0 else 0.0)
+    return tuple(out)
 
 
-def _source_downtime(problem: SalProblem, outgoing) -> float:
-    """Downtime (20) at a source sending outgoing[k] xApps of class k."""
-    params, cal = problem.params, problem.cal
-    return sum(model.sm_downtime(params.strategy, n, cal, params.rho_mb)
-               for n in outgoing)
+def source_downtime(problem: SalProblem, outgoing) -> float:
+    """Downtime (20) at a source sending outgoing[k] xApps of class k; the
+    sum of model.sm_downtime."""
+    c = problem.coeffs.kpi
+    return sum(c["delta_d"] * n + c["b_d"] if n else 0.0 for n in outgoing)
 
 
-def _source_window(problem: SalProblem, outgoing, deploys) -> float:
+def source_window(problem: SalProblem, outgoing, deploys) -> float:
     """Migration window of a server sending outgoing[k] and instantiating
-    deploys[k] xApps of class k."""
-    params, cal = problem.params, problem.cal
-    return sum(
-        model.migration_duration(params.strategy, o, cal, params.rho_mb)
-        + model.instantiation_time(d, cal)
-        for o, d in zip(outgoing, deploys)
-    )
+    deploys[k] xApps of class k; the sum of model.migration_duration and
+    model.instantiation_time."""
+    m, i = problem.coeffs.kpi, problem.coeffs.inst
+    return sum((m["delta_m"] * o + m["b_m"] if o else 0.0)
+               + (i["delta_m"] * d + i["b_m"] if d else 0.0)
+               for o, d in zip(outgoing, deploys))
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +406,15 @@ def validate_plan(problem: SalProblem, plan: MigrationPlan) -> ValidationResult:
             hit("(19)", f"mandatory {servers[s].id} turned off")
 
     # (18) capacity on the final hosting
-    totals = problem.totals
     for s in range(n):
         if plan.mu[s] == 0:
             continue  # (17) already guards hosting on off servers
-        hosted = {cls: h[cls][s] for cls in classes}
         out_s = sum(o[cls][s] for cls in classes)
-        usage = model.server_resources(
-            servers[s], True, hosted, problem.params.strategy, problem.cal,
-            total_counts=totals, server_count=n,
-            participates=_resource_participates(problem, plan.mu[s], out_s),
-        )
+        used_s = usage(problem, [h[cls][s] for cls in classes],
+                       _resource_participates(problem, plan.mu[s], out_s))
         caps = (servers[s].cpu_cap, servers[s].mem_cap, servers[s].disk_cap)
-        for used, cap, name in zip(usage, caps, ("CPU", "MEM", "DISK")):
-            if _exceeds(used, cap):
+        for used, cap, name in zip(used_s, caps, RESOURCES):
+            if exceeds(used, cap):
                 hit("(18)", f"{servers[s].id} {name} {used:.6g} over cap {cap:.6g}")
 
     params = problem.params
@@ -365,14 +422,14 @@ def validate_plan(problem: SalProblem, plan: MigrationPlan) -> ValidationResult:
     # (20) downtime budget per source server, stateful strategies only
     if params.strategy in model.SM_STRATEGIES:
         for s in range(n):
-            t_d = _source_downtime(problem, [o[cls][s] for cls in classes])
-            if _exceeds(t_d, params.max_sm_downtime):
+            t_d = source_downtime(problem, [o[cls][s] for cls in classes])
+            if exceeds(t_d, params.max_sm_downtime):
                 hit("(20)", f"{servers[s].id} downtime {t_d:.6g} s over "
                             f"budget {params.max_sm_downtime:.6g} s")
 
     # (21) backend maintenance feasibility, backend strategy only
     if params.strategy is StrategyId.SDL:
-        verdict = model.sdl_feasible(totals, params, problem.cal)
+        verdict = model.sdl_feasible(problem.totals, params, problem.cal)
         if not verdict.feasible:
             hit("(21)", f"defrag downtime {verdict.defrag_downtime:.6g} s "
                         f"(budget {params.max_defrag_downtime:.6g} s, "
@@ -380,9 +437,9 @@ def validate_plan(problem: SalProblem, plan: MigrationPlan) -> ValidationResult:
 
     # migration windows must fit in the slot
     for s in range(n):
-        w = _source_window(problem, [o[cls][s] for cls in classes],
+        w = source_window(problem, [o[cls][s] for cls in classes],
                           [d[cls][s] for cls in classes])
-        if _exceeds(w, params.slot_length):
+        if exceeds(w, params.slot_length):
             hit("window", f"{servers[s].id} migration window {w:.6g} s exceeds "
                           f"slot {params.slot_length:.6g} s")
 
@@ -399,11 +456,11 @@ def drain_ok(problem: SalProblem, s: int) -> bool:
     """
     params = problem.params
     outgoing = [problem.staged[cls][s] for cls in problem.classes]
-    if params.strategy in model.SM_STRATEGIES and _exceeds(
-            _source_downtime(problem, outgoing), params.max_sm_downtime):
+    if params.strategy in model.SM_STRATEGIES and exceeds(
+            source_downtime(problem, outgoing), params.max_sm_downtime):
         return False
-    return not _exceeds(_source_window(problem, outgoing, [0] * len(outgoing)),
-                        params.slot_length)
+    return not exceeds(source_window(problem, outgoing, [0] * len(outgoing)),
+                       params.slot_length)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,35 @@ def test_scenario_errors_exit_1(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_plan_missing_calibration_entry_exits_1(tmp_path, capsys):
+    doc = low_load_doc(params={"state_size": 5.0e6, "strategy": "sm-mr"})
+    scenario = write_json(tmp_path / "s.json", doc)
+    rc = main(["plan", "--scenario", scenario, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: no calibration entry for kpi.sm-mr.rho=5.0\n"
+
+
+@pytest.mark.parametrize("solver", ["bnb", "greedy", "bruteforce"])
+def test_plan_window_at_slot_tolerance(tmp_path, solver, capsys):
+    # draining s2 (5 sm-md migrations at 20.28 s) takes a 101.4 s window,
+    # above the slot by less than the shared tolerance: the validator accepts
+    # that plan, so the energy model must evaluate it too
+    doc = low_load_doc(
+        servers=low_load_doc()["servers"][:2],
+        initial_counts={"A": [0, 5]},
+        params={"state_size": 1.0e6, "strategy": "sm-md",
+                "slot_length": 101.4 / (1 + 5e-10)},
+    )
+    scenario = write_json(tmp_path / "s.json", doc)
+    out = tmp_path / "out"
+    assert main(["plan", "--scenario", scenario, "--solver", solver,
+                 "--out", str(out)]) == 0
+    assert main(["validate", "--scenario", scenario,
+                 "--plan", str(out / "plan.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "valid"
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["plan"])  # missing required --scenario/--out

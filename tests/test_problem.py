@@ -1,10 +1,13 @@
 """Plan validation, aggregates, and migration-matrix reconstruction."""
 
+import ast
+import importlib
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ricplan import model
 from ricplan import (
     ClusterState,
     MigrationPlan,
@@ -22,6 +25,9 @@ from ricplan.problem import (
     mip_gap,
     plan_aggregates,
     plan_from_aggregates,
+    source_downtime,
+    source_window,
+    usage,
 )
 from tests.conftest import make_params, make_servers
 
@@ -336,3 +342,92 @@ def test_drain_rule_matches_validator(case):
     violations = validate_plan(problem, MigrationPlan(x=x, mu=mu)).violations
     assert drain_ok(problem, s) == \
         ("(20)" not in violations and "window" not in violations)
+
+
+_COEFF = st.floats(-50.0, 50.0, allow_nan=False)
+_NONNEG = st.floats(0.0, 50.0, allow_nan=False)
+
+
+@st.composite
+def rule_cases(draw):
+    """A problem under a random calibration (KPI and backend intercepts of
+    either sign), plus per-class counts for one server: hosted, outgoing,
+    deployed, and whether it runs the migration machinery."""
+    strategy = draw(st.sampled_from(["sdl", "sm-mr", "sm-md"]))
+    rho = 1.0 if strategy == "sdl" else \
+        draw(st.sampled_from([1.0, 10.0, 100.0]))
+    classes = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4,
+                            unique=True))
+
+    def line():
+        return {"delta_d": draw(_NONNEG), "b_d": draw(_COEFF),
+                "delta_m": draw(_NONNEG), "b_m": draw(_COEFF)}
+
+    kpi = {"sdl": {"*": line()}}
+    kpi.setdefault(strategy, {})[str(rho)] = line()
+    metrics = ("E", "CPU", "MEM", "DISK")
+    cal = load_calibration({
+        "kpi": kpi,
+        "sdl_linear": {c: {r: {"delta": draw(_COEFF), "b": draw(_COEFF)}
+                           for r in metrics} for c in classes},
+        "sm_overhead": {s: {r: draw(_NONNEG) for r in metrics}
+                        for s in ("sm-mr", "sm-md")},
+        "xapp_load": {c: {r: draw(_NONNEG) for r in metrics}
+                      for c in classes},
+        "server_idle": {r: draw(_NONNEG) for r in metrics},
+    })
+    n = draw(st.integers(1, 4))
+    counts = {c: tuple(draw(st.integers(0, 30)) for _ in range(n))
+              for c in classes}
+    state = ClusterState(
+        servers=make_servers(n), initial_counts=counts,
+        initial_active=(1,) * n,
+        pending_deploys={c: draw(st.integers(0, 5)) for c in classes})
+    problem = build_problem(state, make_params(strategy, rho_mb=rho), cal)
+    k = len(classes)
+    counts = st.lists(st.integers(0, 40), min_size=k, max_size=k)
+    return (problem, draw(counts), draw(counts), draw(counts),
+            draw(st.booleans()))
+
+
+@settings(max_examples=300)
+@given(rule_cases())
+def test_rules_match_model_bit_for_bit(case):
+    problem, hosted, outgoing, deploys, participates = case
+    strategy, cal = problem.params.strategy, problem.cal
+    rho = problem.params.rho_mb
+    reference = model.server_resources(
+        problem.state.servers[0], True, dict(zip(problem.classes, hosted)),
+        strategy, cal, total_counts=problem.totals,
+        server_count=problem.n_servers, participates=participates)
+    assert usage(problem, hosted, participates) == reference.as_tuple()
+    if strategy in model.SM_STRATEGIES:
+        assert source_downtime(problem, outgoing) == sum(
+            model.sm_downtime(strategy, o, cal, rho) for o in outgoing)
+    assert source_window(problem, outgoing, deploys) == sum(
+        model.migration_duration(strategy, o, cal, rho)
+        + model.instantiation_time(d, cal)
+        for o, d in zip(outgoing, deploys))
+
+
+_SOLVER_MODULES = ("bnb", "greedy", "orchestrator", "bruteforce")
+_LOOKUPS = {"kpi_coeffs", "load_coeff", "idle_coeff", "sdl_term",
+            "sm_overhead_coeff"}
+
+
+@pytest.mark.parametrize("name", _SOLVER_MODULES)
+def test_solvers_read_coefficients_through_problem(name):
+    # the calibration constants of a problem come from problem.coeffs, and
+    # its capacity, downtime and window rules from the problem helpers; a
+    # solver that looks a coefficient up itself re-derives a rule
+    path = importlib.import_module(f"ricplan.{name}").__file__
+    tree = ast.parse(open(path, encoding="utf-8").read())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    assert not used & _LOOKUPS, f"ricplan.{name} uses {sorted(used & _LOOKUPS)}"
