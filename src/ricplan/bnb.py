@@ -9,10 +9,19 @@ bilinear term.  Incumbents are only ever accepted after exact re-evaluation
 through the energy model and the full plan validator, so the reported
 objective is always a true, feasible plan energy.
 
+A node is a box given by one bound vector pair `lo`, `hi` over
+(o | m | d | mu): the first A = 3*K*S entries are the aggregate LP columns in
+LP order (outgoing, incoming, deployed; class-major, then server), the last S
+the activations.  The LP's aggregate column bounds are `lo[:A]`, `hi[:A]`;
+an integral LP point and an enumerated box point split back into
+(mu, outgoing, incoming, deploys) the same way.
+
 Branching is deterministic: activation variables first (lowest index, the
-off-child explored first, with full-drain propagation), then the first
-fractional aggregate, splitting its box at the LP value.  Small fully-fixed
-boxes are enumerated outright.  Runs are sequential and reproducible.
+off-child explored first, with full-drain propagation), then the first open
+aggregate whose LP value is fractional, else the first open one, splitting
+its bounds at the LP value.  Once every activation is fixed, boxes of at most
+_ENUM_CAP points are enumerated outright.  Runs are sequential and
+reproducible.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from scipy.optimize import linprog
 
 from . import model
 from .greedy import solve_greedy
-from .model import RESOURCES, StrategyId, exceeds
+from .model import RESOURCES, StrategyId, allowance, exceeds
 from .problem import (
     STATUS_GAP,
     STATUS_INFEASIBLE,
@@ -49,26 +58,21 @@ _ENUM_CAP = 256
 
 
 class _Node:
-    """A box of the aggregate search space plus the best bound proven for it."""
+    """A box of the search space plus the best bound proven for it.
 
-    __slots__ = ("bound", "mu_lo", "mu_hi", "o_lo", "o_hi",
-                 "m_lo", "m_hi", "d_lo", "d_hi")
+    `lo` and `hi` bound the vector (o | m | d | mu): its first 3*K*S entries
+    are the aggregate LP columns in LP order, the last S the activations.
+    """
 
-    def __init__(self, bound, mu_lo, mu_hi, o_lo, o_hi, m_lo, m_hi, d_lo, d_hi):
+    __slots__ = ("bound", "lo", "hi")
+
+    def __init__(self, bound, lo, hi):
         self.bound = bound
-        self.mu_lo = mu_lo
-        self.mu_hi = mu_hi
-        self.o_lo = o_lo
-        self.o_hi = o_hi
-        self.m_lo = m_lo
-        self.m_hi = m_hi
-        self.d_lo = d_lo
-        self.d_hi = d_hi
+        self.lo = lo
+        self.hi = hi
 
     def child(self):
-        return _Node(self.bound, list(self.mu_lo), list(self.mu_hi),
-                     list(self.o_lo), list(self.o_hi), list(self.m_lo),
-                     list(self.m_hi), list(self.d_lo), list(self.d_hi))
+        return _Node(self.bound, list(self.lo), list(self.hi))
 
 
 def _context(problem: SalProblem):
@@ -108,7 +112,7 @@ def _context(problem: SalProblem):
         "n_tot": n_tot, "caps": caps, "share": share,
         "e_tau_o": co.engine_power * co.kpi["delta_m"],
         "init_power": init_power,
-        "use_tm": use_tm, "use_ti": use_ti, "nvar": nv,
+        "use_tm": use_tm, "use_ti": use_ti, "nvar": nv, "A": 3 * K * S,
         "base_tm": base_tm, "base_ti": base_ti,
         "i_o": lambda k, s: k * S + s,
         "i_m": lambda k, s: K * S + k * S + s,
@@ -123,15 +127,11 @@ def _context(problem: SalProblem):
 def _root_node(ctx):
     K, S = ctx["K"], ctx["S"]
     servers = ctx["problem"].state.servers
-    mu_lo = [0 if servers[s].optional_flag else 1 for s in range(S)]
-    mu_hi = [1] * S
-    o_lo = [0] * (K * S)
-    o_hi = [ctx["n0"][k][s] for k in range(K) for s in range(S)]
-    m_lo = [0] * (K * S)
-    m_hi = [ctx["pool"][k] for k in range(K) for s in range(S)]
-    d_lo = [0] * (K * S)
-    d_hi = [ctx["pend"][k] for k in range(K) for s in range(S)]
-    return _Node(-math.inf, mu_lo, mu_hi, o_lo, o_hi, m_lo, m_hi, d_lo, d_hi)
+    lo = [0] * ctx["A"] + [0 if srv.optional_flag else 1 for srv in servers]
+    hi = ([ctx["n0"][k][s] for k in range(K) for s in range(S)]
+          + [ctx["pool"][k] for k in range(K) for s in range(S)]
+          + [ctx["pend"][k] for k in range(K) for s in range(S)] + [1] * S)
+    return _Node(-math.inf, lo, hi)
 
 
 def _solve_lp(ctx, node):
@@ -146,48 +146,41 @@ def _solve_lp(ctx, node):
     slot = params.slot_length
     servers = problem.state.servers
 
-    bounds = [None] * nv
+    A, KS = ctx["A"], K * S
+    lo, hi = node.lo, node.hi
+    bounds = list(zip(lo[:A], hi[:A])) + [None] * (nv - A)
     w_hi = [0.0] * S
     p_lo = [0.0] * S
     p_hi = [0.0] * S
-    for k in range(K):
-        for s in range(S):
-            i = k * S + s
-            bounds[i_o(k, s)] = (node.o_lo[i], node.o_hi[i])
-            bounds[i_m(k, s)] = (node.m_lo[i], node.m_hi[i])
-            bounds[i_d(k, s)] = (node.d_lo[i], node.d_hi[i])
     for s in range(S):
         # the lowest and highest window in the box, at its two corners
-        col = range(s, K * S, S)
-        if exceeds(source_window(problem, [node.o_lo[i] for i in col],
-                                 [node.d_lo[i] for i in col]), slot):
+        if exceeds(source_window(problem, lo[s:KS:S], lo[2 * KS + s:A:S]),
+                   slot):
             return None, None  # every point in the box blows the slot
-        w_hi[s] = min(slot, source_window(problem,
-                                          [node.o_hi[i] for i in col],
-                                          [node.d_hi[i] for i in col]))
-        lo = q_e * node.mu_lo[s]
-        hi = q_e * node.mu_hi[s]
+        w_hi[s] = min(allowance(slot), source_window(problem, hi[s:KS:S],
+                                                     hi[2 * KS + s:A:S]))
+        p_lo[s] = q_e * lo[A + s]
+        p_hi[s] = q_e * hi[A + s]
         for k in range(K):
             i = k * S + s
-            h_lo = max(0, n0[k][s] - node.o_hi[i]) + node.m_lo[i] + node.d_lo[i]
-            h_hi = min(n0[k][s] - node.o_lo[i] + node.m_hi[i] + node.d_hi[i],
+            h_lo = max(0, n0[k][s] - hi[i]) + lo[KS + i] + lo[2 * KS + i]
+            h_hi = min(n0[k][s] - lo[i] + hi[KS + i] + hi[2 * KS + i],
                        n_tot[k])
-            lo += p_e[k] * h_lo
-            hi += p_e[k] * h_hi
-        p_lo[s] = min(lo, hi)
-        p_hi[s] = hi
+            p_lo[s] += p_e[k] * h_lo
+            p_hi[s] += p_e[k] * h_hi
+        p_lo[s] = min(p_lo[s], p_hi[s])
         bounds[i_w(s)] = (0.0, w_hi[s])
         bounds[i_p(s)] = (p_lo[s], p_hi[s])
         bounds[i_z(s)] = (0.0, w_hi[s] * p_hi[s])
-        bounds[i_mu(s)] = (node.mu_lo[s], node.mu_hi[s])
+        bounds[i_mu(s)] = (lo[A + s], hi[A + s])
     if ctx["use_tm"]:
-        for i in range(K * S):
-            bounds[ctx["base_tm"] + i] = (1 if node.o_lo[i] > 0 else 0,
-                                          0 if node.o_hi[i] == 0 else 1)
+        for i in range(KS):
+            bounds[ctx["base_tm"] + i] = (1 if lo[i] > 0 else 0,
+                                          0 if hi[i] == 0 else 1)
     if ctx["use_ti"]:
-        for i in range(K * S):
-            bounds[ctx["base_ti"] + i] = (1 if node.d_lo[i] > 0 else 0,
-                                          0 if node.d_hi[i] == 0 else 1)
+        for i in range(KS):
+            bounds[ctx["base_ti"] + i] = (1 if lo[2 * KS + i] > 0 else 0,
+                                          0 if hi[2 * KS + i] == 0 else 1)
 
     c = np.zeros(nv)
     for s in range(S):
@@ -352,61 +345,36 @@ def _try_candidate(ctx, mu, outgoing, incoming, deploys):
     return plan, energy
 
 
+def _split(ctx, vals):
+    """(mu, outgoing, incoming, deploys) of a point of the node vector."""
+    S, KS = ctx["S"], ctx["K"] * ctx["S"]
+
+    def per_class(base):
+        return {cls: vals[base + k * S:base + (k + 1) * S]
+                for k, cls in enumerate(ctx["classes"])}
+
+    return tuple(vals[3 * KS:]), per_class(0), per_class(KS), per_class(2 * KS)
+
+
 def _extract_integral(ctx, x):
     """Round an integral LP point into aggregate dicts, or None."""
-    K, S = ctx["K"], ctx["S"]
-    i_o, i_m, i_d, i_mu = ctx["i_o"], ctx["i_m"], ctx["i_d"], ctx["i_mu"]
+    mu0 = ctx["i_mu"](0)
     vals = []
-    for idx in ([i_o(k, s) for k in range(K) for s in range(S)]
-                + [i_m(k, s) for k in range(K) for s in range(S)]
-                + [i_d(k, s) for k in range(K) for s in range(S)]
-                + [i_mu(s) for s in range(S)]):
-        v = x[idx]
+    for v in itertools.chain(x[:ctx["A"]], x[mu0:mu0 + ctx["S"]]):
         r = round(v)
         if abs(v - r) > _INT_TOL:
             return None
         vals.append(int(r))
-    classes = ctx["classes"]
-    ks = K * S
-    outgoing = {cls: vals[k * S:(k + 1) * S] for k, cls in enumerate(classes)}
-    incoming = {cls: vals[ks + k * S:ks + (k + 1) * S]
-                for k, cls in enumerate(classes)}
-    deploys = {cls: vals[2 * ks + k * S:2 * ks + (k + 1) * S]
-               for k, cls in enumerate(classes)}
-    mu = tuple(vals[3 * ks:3 * ks + S])
-    return mu, outgoing, incoming, deploys
+    return _split(ctx, vals)
 
 
 def _box_points(ctx, node):
     """Iterate all integer aggregate points of a fully mu-fixed node."""
-    K, S = ctx["K"], ctx["S"]
-    classes = ctx["classes"]
-    ranges = []
-    for arr_lo, arr_hi in ((node.o_lo, node.o_hi), (node.m_lo, node.m_hi),
-                           (node.d_lo, node.d_hi)):
-        for i in range(K * S):
-            ranges.append(range(arr_lo[i], arr_hi[i] + 1))
-    mu = tuple(node.mu_lo)
-    ks = K * S
+    A = ctx["A"]
+    mu = node.lo[A:]
+    ranges = [range(node.lo[i], node.hi[i] + 1) for i in range(A)]
     for point in itertools.product(*ranges):
-        outgoing = {cls: list(point[k * S:(k + 1) * S])
-                    for k, cls in enumerate(classes)}
-        incoming = {cls: list(point[ks + k * S:ks + (k + 1) * S])
-                    for k, cls in enumerate(classes)}
-        deploys = {cls: list(point[2 * ks + k * S:2 * ks + (k + 1) * S])
-                   for k, cls in enumerate(classes)}
-        yield mu, outgoing, incoming, deploys
-
-
-def _box_size(node):
-    size = 1
-    for lo, hi in ((node.o_lo, node.o_hi), (node.m_lo, node.m_hi),
-                   (node.d_lo, node.d_hi)):
-        for i in range(len(lo)):
-            size *= hi[i] - lo[i] + 1
-            if size > _ENUM_CAP:
-                return size
-    return size
+        yield _split(ctx, list(point) + mu)
 
 
 def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
@@ -428,7 +396,7 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
             )
 
     ctx = _context(problem)
-    K, S = ctx["K"], ctx["S"]
+    K, S, A = ctx["K"], ctx["S"], ctx["A"]
     slack = lambda inc: 1e-9 * max(1.0, abs(inc))
 
     incumbent, inc_obj = None, math.inf
@@ -514,29 +482,25 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
                 if node.bound >= inc_obj - slack(inc_obj):
                     continue
 
-        # activation branching first
-        branch_mu = next((s for s in range(S)
-                          if node.mu_lo[s] < node.mu_hi[s]), None)
-        if branch_mu is not None:
-            s = branch_mu
+        lo, hi = node.lo, node.hi
+        # activation branching first; the on-child is explored second
+        s = next((s for s in range(S) if lo[A + s] < hi[A + s]), None)
+        if s is not None:
             on = node.child()
-            on.mu_lo[s] = 1
-            children = []
+            on.lo[A + s] = 1
+            stack.append((on, None, None))
             if drain_ok(problem, s):
                 off = node.child()
-                off.mu_hi[s] = 0
+                off.hi[A + s] = 0
                 for k in range(K):
                     i = k * S + s
-                    off.o_lo[i] = off.o_hi[i] = ctx["n0"][k][s]
-                    off.m_lo[i] = off.m_hi[i] = 0
-                    off.d_lo[i] = off.d_hi[i] = 0
-                children.append(off)
-            children.append(on)
-            for ch in reversed(children):
-                stack.append((ch, None, None))
+                    for j, v in ((i, ctx["n0"][k][s]), (K * S + i, 0),
+                                 (2 * K * S + i, 0)):
+                        off.lo[j] = off.hi[j] = v
+                stack.append((off, None, None))
             continue
 
-        if _box_size(node) <= _ENUM_CAP:
+        if math.prod(hi[i] - lo[i] + 1 for i in range(A)) <= _ENUM_CAP:
             for point in _box_points(ctx, node):
                 hit = _try_candidate(ctx, *point)
                 if hit is not None and hit[1] < inc_obj - slack(inc_obj):
@@ -545,43 +509,15 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
                                   inc_obj))
             continue
 
-        # first fractional aggregate, else first open box
-        boxes = [(node.o_lo, node.o_hi, ctx["i_o"]),
-                 (node.m_lo, node.m_hi, ctx["i_m"]),
-                 (node.d_lo, node.d_hi, ctx["i_d"])]
-        pick = None
-        for lo, hi, idx in boxes:
-            for k in range(K):
-                for s in range(S):
-                    i = k * S + s
-                    if lo[i] >= hi[i]:
-                        continue
-                    v = node_x[idx(k, s)]
-                    if abs(v - round(v)) > _INT_TOL:
-                        pick = (lo, hi, i, v)
-                        break
-                if pick:
-                    break
-            if pick:
-                break
-        if pick is None:
-            for lo, hi, idx in boxes:
-                for i in range(K * S):
-                    if lo[i] < hi[i]:
-                        pick = (lo, hi, i, node_x[idx(i // S, i % S)])
-                        break
-                if pick:
-                    break
-        lo_arr, hi_arr, i, v = pick
-        pivot = min(max(int(math.floor(v)), lo_arr[i]), hi_arr[i] - 1)
-        which = 0 if lo_arr is node.o_lo else (1 if lo_arr is node.m_lo else 2)
+        # first fractional open aggregate, else the first open one
+        open_cols = [i for i in range(A) if lo[i] < hi[i]]
+        i = next((i for i in open_cols
+                  if abs(node_x[i] - round(node_x[i])) > _INT_TOL),
+                 open_cols[0])
+        pivot = min(max(int(math.floor(node_x[i])), lo[i]), hi[i] - 1)
         low, high = node.child(), node.child()
-        for ch, new_lo, new_hi in ((low, lo_arr[i], pivot),
-                                   (high, pivot + 1, hi_arr[i])):
-            arr_lo, arr_hi = ((ch.o_lo, ch.o_hi), (ch.m_lo, ch.m_hi),
-                              (ch.d_lo, ch.d_hi))[which]
-            arr_lo[i] = new_lo
-            arr_hi[i] = new_hi
+        low.hi[i] = pivot
+        high.lo[i] = pivot + 1
         stack.append((high, None, None))
         stack.append((low, None, None))
 

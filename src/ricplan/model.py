@@ -59,9 +59,14 @@ def _clamp(x: float) -> float:
     return x if x > 0.0 else 0.0
 
 
+def allowance(limit: float) -> float:
+    """The largest value that does not break limit (see `exceeds`)."""
+    return limit * (1.0 + _SLACK)
+
+
 def exceeds(value: float, limit: float) -> bool:
     """Whether value breaks limit by more than floating-point noise."""
-    return value > limit * (1.0 + _SLACK)
+    return value > allowance(limit)
 
 
 def _as_strategy(strategy) -> StrategyId:
@@ -295,13 +300,10 @@ def migration_duration(strategy, outgoing_count: int, cal: CalibrationSet,
     outgoing_count = _check_count(outgoing_count, "outgoing_count")
     if outgoing_count == 0:
         return 0.0
-    if strategy is StrategyId.SDL:
-        c = kpi_coeffs(cal, strategy.value, rho_mb)
-        return c["delta_m"] * outgoing_count + c["b_m"]
-    if rho_mb is None:
+    if strategy is not StrategyId.SDL and rho_mb is None:
         raise ValueError("rho_mb required for stateful-migration strategies")
     c = kpi_coeffs(cal, strategy.value, rho_mb)
-    return c["delta_m"] * outgoing_count + c["b_m"]
+    return _clamp(c["delta_m"] * outgoing_count + c["b_m"])
 
 
 def instantiation_time(new_count: int, cal: CalibrationSet) -> float:
@@ -310,7 +312,7 @@ def instantiation_time(new_count: int, cal: CalibrationSet) -> float:
     if new_count == 0:
         return 0.0
     c = kpi_coeffs(cal, StrategyId.SDL.value, None)
-    return c["delta_m"] * new_count + c["b_m"]
+    return _clamp(c["delta_m"] * new_count + c["b_m"])
 
 
 def defrag_downtime(counts: Mapping[str, int], cal: CalibrationSet,

@@ -170,10 +170,18 @@ class MigrationPlan:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "MigrationPlan":
+        """The plan a document holds; every entry must be a JSON integer."""
         try:
-            return cls(x=doc["x"], mu=doc["mu"])
-        except (KeyError, TypeError) as exc:
+            x, mu = doc["x"], doc["mu"]
+            entries = [*mu, *(v for rows in x.values()
+                               for row in rows for v in row)]
+        except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed plan document: {exc}") from None
+        bad = [v for v in entries if type(v) is not int]
+        if bad:
+            raise ValueError("malformed plan document: non-integer entry "
+                             f"{bad[0]!r}")
+        return cls(x=x, mu=mu)
 
 
 @dataclass
@@ -313,9 +321,16 @@ def source_window(problem: SalProblem, outgoing, deploys) -> float:
     deploys[k] xApps of class k; the sum of model.migration_duration and
     model.instantiation_time."""
     m, i = problem.coeffs.kpi, problem.coeffs.inst
-    return sum((m["delta_m"] * o + m["b_m"] if o else 0.0)
-               + (i["delta_m"] * d + i["b_m"] if d else 0.0)
+    return sum(_duration(m, o) + _duration(i, d)
                for o, d in zip(outgoing, deploys))
+
+
+def _duration(c, n) -> float:
+    """The duration line c for n xApps, floored at zero; 0 for none."""
+    if not n:
+        return 0.0
+    t = c["delta_m"] * n + c["b_m"]
+    return t if t > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------

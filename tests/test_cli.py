@@ -168,6 +168,23 @@ def test_plan_window_at_slot_tolerance(tmp_path, solver, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "valid"
 
 
+@pytest.mark.parametrize("solver", ["bnb", "greedy", "bruteforce"])
+def test_plan_negative_duration_intercept(tmp_path, solver, capsys):
+    # a fitted migration line with b_m < 0 gives a negative duration for
+    # few xApps; the model floors each class's duration at zero
+    doc = low_load_doc(servers=low_load_doc()["servers"][:2],
+                       initial_counts={"A": [3, 2]})
+    scenario = write_json(tmp_path / "s.json", doc)
+    cal = write_json(tmp_path / "cal.json", {"kpi": {"sm-mr": {"1.0": {
+        "delta_d": 1.0, "b_d": 0.0, "delta_m": 1.0, "b_m": -5.0}}}})
+    out = tmp_path / "out"
+    assert main(["plan", "--scenario", scenario, "--calibration", cal,
+                 "--solver", solver, "--out", str(out)]) == 0
+    assert main(["validate", "--scenario", scenario, "--calibration", cal,
+                 "--plan", str(out / "plan.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "valid"
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["plan"])  # missing required --scenario/--out
@@ -248,6 +265,24 @@ def test_validate_hand_edit_exits_3(tmp_path, scenario, capsys):
     rc = main(["validate", "--scenario", scenario, "--plan", edited])
     assert rc == 3
     assert "violated (17)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["mu"].__setitem__(1, 0.6),
+    lambda doc: doc["x"]["A"][0].__setitem__(0, doc["x"]["A"][0][0] + 0.9),
+    lambda doc: doc["x"]["A"][0].__setitem__(0, str(doc["x"]["A"][0][0])),
+], ids=["fractional-mu", "fractional-count", "string-count"])
+def test_validate_non_integer_plan_exits_1(tmp_path, scenario, capsys, edit):
+    # truncating these entries would yield the valid plan the file came from
+    out = tmp_path / "out"
+    assert main(["plan", "--scenario", scenario, "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads((out / "plan.json").read_text())
+    edit(doc)
+    edited = write_json(tmp_path / "edited.json", doc)
+    rc = main(["validate", "--scenario", scenario, "--plan", edited])
+    assert rc == 1
+    assert "malformed plan document" in capsys.readouterr().err
 
 
 def test_validate_unreadable_plan_exits_1(tmp_path, scenario, capsys):

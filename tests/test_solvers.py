@@ -15,9 +15,17 @@ from ricplan import (
     solve_greedy,
     validate_plan,
 )
+from ricplan import bnb
 from ricplan.bruteforce import SearchSpaceError
-from ricplan.problem import STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME
-from tests.conftest import make_params, make_servers
+from ricplan.orchestrator import SweepSpec, balanced_state, mix_counts
+from ricplan.problem import (
+    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
+    STATUS_TIME,
+    objective_eval,
+    plan_from_aggregates,
+)
+from tests.conftest import make_class, make_params, make_servers
 
 
 def low_load_problem(cal, state, params):
@@ -196,6 +204,60 @@ def test_bnb_uses_state_size_entry_of_backend_calibration():
     _, bb = solve_bnb(problem, SolveLimits())
     assert bb.status == bf.status == STATUS_OPTIMAL
     assert math.isclose(bb.objective, bf.objective, rel_tol=1e-9)
+
+
+def test_bnb_lp_keeps_box_within_window_tolerance(cal):
+    # draining s2 (5 sm-md migrations at 20.28 s) takes a 101.4 s window,
+    # above the slot by less than the shared tolerance; the validator accepts
+    # that plan, so the LP of the box holding it must bound its energy
+    state = ClusterState(servers=make_servers(2),
+                         initial_counts={"A": (0, 5)}, initial_active=(1, 1))
+    problem = build_problem(
+        state, make_params("sm-md", slot=101.4 / (1 + 5e-10)), cal)
+    drained = plan_from_aggregates(problem, (1, 0), {"A": [0, 5]},
+                                   {"A": [5, 0]}, {"A": [0, 0]})
+    assert validate_plan(problem, drained).valid
+
+    # the off branch for s2, bounding (o1 o2 | m1 m2 | d1 d2 | mu1 mu2)
+    off = bnb._Node(-math.inf, [0, 5, 0, 0, 0, 0, 1, 0],
+                    [0, 5, 5, 0, 0, 0, 1, 0])
+    value, _ = bnb._solve_lp(bnb._context(problem), off)
+    assert value is not None
+    assert value <= objective_eval(problem, drained) * (1 + 1e-9)
+
+
+def _scale_problem(cal, total):
+    """The acceptance-criterion-8 family at `total` xApps."""
+    spec = SweepSpec(classes=tuple(make_class(c) for c in "ABCD"),
+                     dominant_class="A", count_range=(total,),
+                     rho_list_mb=(1.0,), nu_list_s=(1.0,),
+                     strategies=("sm-md",))
+    state = balanced_state(spec.classes, make_servers(4),
+                           mix_counts(spec, total))
+    return build_problem(state, make_params("sm-md"), cal)
+
+
+def _small_search_problem(cal):
+    # takes the off branch for s2, branches on fractional aggregates and
+    # enumerates small boxes
+    state = ClusterState(servers=make_servers(2, cpu=16.0),
+                         initial_counts={"B": (1, 4)}, initial_active=(1, 1),
+                         pending_deploys={"B": 1})
+    return build_problem(state, make_params("sm-mr"), cal)
+
+
+# The search itself is pinned: a change to the node order, the branching or
+# the LP shows here.  A change that alters the search on purpose updates
+# these figures and records the new ones in CHANGES.md.
+@pytest.mark.parametrize("make, objective, nodes", [
+    (_small_search_problem, 1219896.312, 17),
+    (lambda cal: _scale_problem(cal, 116), 3277123.1532, 685),
+], ids=["small", "scale-116"])
+def test_bnb_search_is_pinned(cal, make, objective, nodes):
+    _, report = solve_bnb(make(cal), SolveLimits(time_limit=120.0))
+    assert report.status == STATUS_OPTIMAL
+    assert report.objective == pytest.approx(objective, rel=1e-12)
+    assert report.nodes_explored == nodes
 
 
 # randomized cross-checks
