@@ -4,10 +4,10 @@ The search works on per-(class, server) aggregate counts (outgoing, incoming,
 deployed) plus the activation vector, not on the full origin/destination
 tensor; a lex-minimal transport reconstruction expands any realizable
 aggregate into a concrete plan.  Lower bounds come from an LP relaxation
-(HiGHS via scipy) with McCormick envelopes around the window-times-power
-bilinear term.  Incumbents are only ever accepted after exact re-evaluation
-through the energy model and the full plan validator, so the reported
-objective is always a true, feasible plan energy.
+with McCormick envelopes around the window-times-power bilinear term.
+Incumbents are only ever accepted after exact re-evaluation through the
+energy model and the full plan validator, so the reported objective is
+always a true, feasible plan energy.
 
 A node is a box given by one bound vector pair `lo`, `hi` over
 (o | m | d | mu): the first A = 3*K*S entries are the aggregate LP columns in
@@ -15,6 +15,17 @@ LP order (outgoing, incoming, deployed; class-major, then server), the last S
 the activations.  The LP's aggregate column bounds are `lo[:A]`, `hi[:A]`;
 an integral LP point and an enumerated box point split back into
 (mu, outgoing, incoming, deploys) the same way.
+
+The node LP is built once per solve (`_NodeLP`: cost vector, one CSC
+matrix, row sides); per node `_solve_lp` writes only the column bounds, the
+envelope coefficients and the envelope right-hand sides.  Every node LP goes
+through the module-level name `linprog`, looked up at each call: a cold HiGHS
+solve through scipy's bundled binding, with the options and the residual
+check of `scipy.optimize.linprog(method="highs")`, or that function itself on
+scipy < 1.15.  Only an LP proven infeasible closes a node.  A failed LP
+(iteration limit, numerical trouble) keeps the node's inherited bound, and
+the node branches without an LP point: activations first, else the first
+open aggregate split at its midpoint.
 
 Branching is deterministic: activation variables first (lowest index, the
 off-child explored first, with full-drain propagation), then the first open
@@ -26,12 +37,13 @@ reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import model
 from .greedy import solve_greedy
@@ -77,51 +89,165 @@ class _Node:
 
 def _context(problem: SalProblem):
     """Constant data shared by every node of one solve."""
-    state, params = problem.state, problem.params
-    co = problem.coeffs
     classes = problem.classes
     K, S = len(classes), problem.n_servers
-    sdl = params.strategy is StrategyId.SDL
+    co = problem.coeffs
 
     n0 = [[problem.staged[cls][s] for s in range(S)] for cls in classes]
     pend = [problem.staged[cls][S] for cls in classes]
     pool = [sum(row) for row in n0]
-    n_tot = [pool[k] + pend[k] for k in range(K)]
+    ctx = {
+        "problem": problem, "co": co, "classes": classes, "K": K, "S": S,
+        "A": 3 * K * S, "n0": n0, "pend": pend, "pool": pool,
+        "n_tot": [pool[k] + pend[k] for k in range(K)],
+        "use_tm": co.kpi["b_m"] > 0 and any(pool),
+        "use_ti": co.inst["b_m"] > 0 and any(pend),
+    }
+    ctx["lp"] = _node_lp(ctx)
+    return ctx
 
-    p_e, q_e = co.loads["E"], co.idle["E"]
-    caps = [(srv.cpu_cap, srv.mem_cap, srv.disk_cap) for srv in state.servers]
+
+class _NodeLP:
+    """The node LP of one solve: minimise c.x subject to lhs <= M x <= rhs
+    and lb <= x <= ub, with M held as one CSC matrix (indptr, indices, data).
+
+    Columns: the A aggregate columns (o | m | d), then per server the window
+    W, the power P, their product z and the activation mu (S each), then the
+    `tm` and `ti` indicator columns when in use.  Rows: the m_ub inequality
+    rows (lhs -inf), then the equality rows (lhs == rhs).  Only the column
+    bounds, the 6*S McCormick coefficients data[env] and the 2*S envelope
+    right-hand sides rhs[env_rows] depend on the node; `_solve_lp` writes
+    those in place before each solve.
+    """
+
+    __slots__ = ("c", "indptr", "indices", "data", "lhs", "rhs", "lb", "ub",
+                 "m_ub", "env", "env_rows")
+
+
+def _node_lp(ctx):
+    """Build the node LP skeleton once per solve (see `_NodeLP`)."""
+    problem, co, params = ctx["problem"], ctx["co"], ctx["problem"].params
+    K, S, A = ctx["K"], ctx["S"], ctx["A"]
+    n0, pend, pool, n_tot = ctx["n0"], ctx["pend"], ctx["pool"], ctx["n_tot"]
+    use_tm, use_ti = ctx["use_tm"], ctx["use_ti"]
+    servers = problem.state.servers
+    sdl = params.strategy is StrategyId.SDL
     # the engine's CPU overhead is left to exact checks
     share = co.overhead if sdl else dict.fromkeys(RESOURCES, 0.0)
-    init_power = [q_e + sum(p_e[k] * n0[k][s] for k in range(K))
-                  for s in range(S)]
+    p_e, q_e = co.loads["E"], co.idle["E"]
+    KS = K * S
+    nv = A + 4 * S + KS * (use_tm + use_ti)
 
-    use_tm = co.kpi["b_m"] > 0 and any(pool)
-    use_ti = co.inst["b_m"] > 0 and any(pend)
+    def i_o(k, s): return k * S + s
+    def i_m(k, s): return KS + k * S + s
+    def i_d(k, s): return 2 * KS + k * S + s
+    def i_w(s): return A + s
+    def i_p(s): return A + S + s
+    def i_z(s): return A + 2 * S + s
+    def i_mu(s): return A + 3 * S + s
+    def i_tm(k, s): return A + 4 * S + k * S + s
+    def i_ti(k, s): return A + 4 * S + KS * use_tm + k * S + s
 
-    nv = 3 * K * S + 4 * S
-    base_tm = nv
-    if use_tm:
-        nv += K * S
-    base_ti = nv
-    if use_ti:
-        nv += K * S
+    c = np.zeros(nv)
+    for s in range(S):
+        c[i_w(s)] = q_e + sum(p_e[k] * n0[k][s] for k in range(K))
+        c[i_p(s)] = params.slot_length
+        c[i_z(s)] = -1.0
+        c[i_mu(s)] += co.backend_energy
+    e_tau_o = co.engine_power * co.kpi["delta_m"]
+    for k in range(K):
+        for s in range(S):
+            if e_tau_o:
+                c[i_o(k, s)] += e_tau_o
+            if use_tm and co.engine_power:
+                c[i_tm(k, s)] += co.engine_power * co.kpi["b_m"]
 
-    return {
-        "problem": problem, "co": co, "classes": classes, "K": K, "S": S,
-        "sdl": sdl, "params": params, "n0": n0, "pend": pend, "pool": pool,
-        "n_tot": n_tot, "caps": caps, "share": share,
-        "e_tau_o": co.engine_power * co.kpi["delta_m"],
-        "init_power": init_power,
-        "use_tm": use_tm, "use_ti": use_ti, "nvar": nv, "A": 3 * K * S,
-        "base_tm": base_tm, "base_ti": base_ti,
-        "i_o": lambda k, s: k * S + s,
-        "i_m": lambda k, s: K * S + k * S + s,
-        "i_d": lambda k, s: 2 * K * S + k * S + s,
-        "i_w": lambda s: 3 * K * S + s,
-        "i_p": lambda s: 3 * K * S + S + s,
-        "i_z": lambda s: 3 * K * S + 2 * S + s,
-        "i_mu": lambda s: 3 * K * S + 3 * S + s,
-    }
+    rows, rhs = [], []
+
+    def row(b, *entries):
+        """Append the row sum(v * x[j] for j, v in entries) <= or == b."""
+        r = np.zeros(nv)
+        for j, v in entries:
+            r[j] += v
+        rows.append(r)
+        rhs.append(b)
+
+    nan = math.nan  # a node-dependent envelope entry, written per node
+    for k in range(K):
+        for s in range(S):
+            if use_tm and n0[k][s] > 0:
+                row(0.0, (i_o(k, s), 1.0), (i_tm(k, s), -float(n0[k][s])))
+            if use_ti and pend[k] > 0:
+                row(0.0, (i_d(k, s), 1.0), (i_ti(k, s), -float(pend[k])))
+            # hosting only on powered servers
+            row(-float(n0[k][s]), (i_o(k, s), -1.0), (i_m(k, s), 1.0),
+                (i_d(k, s), 1.0), (i_mu(s), -float(n_tot[k])))
+            # a migrating unit cannot land back on its own source
+            if pool[k] > 0:
+                row(0.0, (i_o(k, s), 1.0), (i_m(k, s), 1.0),
+                    *((i_o(k, s2), -1.0) for s2 in range(S)))
+    env, env_rows = [], []
+    for s in range(S):
+        aggs = [(k, i_o(k, s), i_m(k, s), i_d(k, s)) for k in range(K)]
+        if servers[s].optional_flag:
+            row(float(sum(n0[k][s] for k in range(K))), (i_mu(s), 1.0),
+                *(e for _, o, m, d in aggs
+                  for e in ((o, 1.0), (m, -1.0), (d, -1.0))))
+        for ri, r in enumerate(RESOURCES):
+            p = co.loads[r]
+            cap = (servers[s].cpu_cap, servers[s].mem_cap,
+                   servers[s].disk_cap)[ri]
+            row(0.0 - sum(p[k] * n0[k][s] for k in range(K)),
+                (i_mu(s), co.idle[r] + share[r] - cap),
+                *(e for k, o, m, d in aggs
+                  for e in ((o, -p[k]), (m, p[k]), (d, p[k]))))
+        if not sdl:
+            row(params.max_sm_downtime,
+                *((o, co.kpi["delta_d"]) for _, o, _, _ in aggs))
+        # McCormick envelope for z = W * P
+        w, p, z = i_w(s), i_p(s), i_z(s)
+        first = len(rows)
+        row(nan, (z, 1.0), (p, nan), (w, nan))
+        row(0.0, (z, 1.0), (w, nan))
+        row(0.0, (w, nan), (z, -1.0))
+        row(nan, (p, nan), (w, nan), (z, -1.0))
+        env += [(first, p), (first, w), (first + 1, w), (first + 2, w),
+                (first + 3, p), (first + 3, w)]
+        env_rows += [first, first + 3]
+    m_ub = len(rows)
+    for k in range(K):
+        row(0.0, *((i_o(k, s), 1.0) for s in range(S)),
+            *((i_m(k, s), -1.0) for s in range(S)))
+        row(float(pend[k]), *((i_d(k, s), 1.0) for s in range(S)))
+    dm, bm = co.kpi["delta_m"], co.kpi["b_m"]
+    dt, bt = co.inst["delta_m"], co.inst["b_m"]
+    for s in range(S):
+        row(0.0, (i_w(s), 1.0),
+            *(e for k in range(K) for e in (
+                ((i_o(k, s), -dm), (i_d(k, s), -dt))
+                + (((i_tm(k, s), -bm),) if use_tm else ())
+                + (((i_ti(k, s), -bt),) if use_ti else ()))))
+        row(sum(p_e[k] * n0[k][s] for k in range(K)), (i_p(s), 1.0),
+            (i_mu(s), -q_e),
+            *(e for k in range(K) for e in (
+                (i_o(k, s), p_e[k]), (i_m(k, s), -p_e[k]),
+                (i_d(k, s), -p_e[k]))))
+
+    lp = _NodeLP()
+    # column-major nonzeros: the CSC form of the stacked rows
+    dense_t = np.array(rows).T
+    cols, lp.indices = np.nonzero(dense_t)
+    lp.data = dense_t[cols, lp.indices]
+    lp.indices = lp.indices.astype(np.int32)
+    lp.indptr = np.searchsorted(cols, np.arange(nv + 1)).astype(np.int32)
+    lp.env = np.array([lp.indptr[j] + np.searchsorted(
+        lp.indices[lp.indptr[j]:lp.indptr[j + 1]], i) for i, j in env])
+    lp.env_rows = np.array(env_rows)
+    lp.c, lp.m_ub = c, m_ub
+    lp.rhs = np.array(rhs)
+    lp.lhs = np.concatenate((np.full(m_ub, -np.inf), lp.rhs[m_ub:]))
+    lp.lb, lp.ub = np.zeros(nv), np.zeros(nv)
+    return lp
 
 
 def _root_node(ctx):
@@ -135,23 +261,19 @@ def _root_node(ctx):
 
 
 def _solve_lp(ctx, node):
-    """LP relaxation of the node; (value, x) or (None, None) if infeasible."""
-    K, S = ctx["K"], ctx["S"]
-    nv = ctx["nvar"]
-    i_o, i_m, i_d = ctx["i_o"], ctx["i_m"], ctx["i_d"]
-    i_w, i_p, i_z, i_mu = ctx["i_w"], ctx["i_p"], ctx["i_z"], ctx["i_mu"]
-    n0, pend, pool, n_tot = ctx["n0"], ctx["pend"], ctx["pool"], ctx["n_tot"]
-    co, problem, params = ctx["co"], ctx["problem"], ctx["params"]
+    """LP relaxation of the node: (value, x); (None, None) when the box is
+    proven infeasible, and (-inf, None) when the LP failed and proves
+    nothing."""
+    K, S, A = ctx["K"], ctx["S"], ctx["A"]
+    n0, n_tot = ctx["n0"], ctx["n_tot"]
+    co, problem = ctx["co"], ctx["problem"]
     p_e, q_e = co.loads["E"], co.idle["E"]
-    slot = params.slot_length
-    servers = problem.state.servers
-
-    A, KS = ctx["A"], K * S
+    slot = problem.params.slot_length
+    KS = K * S
     lo, hi = node.lo, node.hi
-    bounds = list(zip(lo[:A], hi[:A])) + [None] * (nv - A)
-    w_hi = [0.0] * S
-    p_lo = [0.0] * S
-    p_hi = [0.0] * S
+    w_hi = np.zeros(S)
+    p_lo = np.zeros(S)
+    p_hi = np.zeros(S)
     for s in range(S):
         # the lowest and highest window in the box, at its two corners
         if exceeds(source_window(problem, lo[s:KS:S], lo[2 * KS + s:A:S]),
@@ -159,170 +281,119 @@ def _solve_lp(ctx, node):
             return None, None  # every point in the box blows the slot
         w_hi[s] = min(allowance(slot), source_window(problem, hi[s:KS:S],
                                                      hi[2 * KS + s:A:S]))
-        p_lo[s] = q_e * lo[A + s]
-        p_hi[s] = q_e * hi[A + s]
+        pl = q_e * lo[A + s]
+        ph = q_e * hi[A + s]
         for k in range(K):
             i = k * S + s
             h_lo = max(0, n0[k][s] - hi[i]) + lo[KS + i] + lo[2 * KS + i]
             h_hi = min(n0[k][s] - lo[i] + hi[KS + i] + hi[2 * KS + i],
                        n_tot[k])
-            p_lo[s] += p_e[k] * h_lo
-            p_hi[s] += p_e[k] * h_hi
-        p_lo[s] = min(p_lo[s], p_hi[s])
-        bounds[i_w(s)] = (0.0, w_hi[s])
-        bounds[i_p(s)] = (p_lo[s], p_hi[s])
-        bounds[i_z(s)] = (0.0, w_hi[s] * p_hi[s])
-        bounds[i_mu(s)] = (lo[A + s], hi[A + s])
-    if ctx["use_tm"]:
-        for i in range(KS):
-            bounds[ctx["base_tm"] + i] = (1 if lo[i] > 0 else 0,
-                                          0 if hi[i] == 0 else 1)
-    if ctx["use_ti"]:
-        for i in range(KS):
-            bounds[ctx["base_ti"] + i] = (1 if lo[2 * KS + i] > 0 else 0,
-                                          0 if hi[2 * KS + i] == 0 else 1)
+            pl += p_e[k] * h_lo
+            ph += p_e[k] * h_hi
+        p_lo[s] = min(pl, ph)
+        p_hi[s] = ph
 
-    c = np.zeros(nv)
-    for s in range(S):
-        c[i_w(s)] = ctx["init_power"][s]
-        c[i_p(s)] = slot
-        c[i_z(s)] = -1.0
-        c[i_mu(s)] += co.backend_energy
-    if ctx["e_tau_o"]:
-        for k in range(K):
-            for s in range(S):
-                c[i_o(k, s)] += ctx["e_tau_o"]
-    if ctx["use_tm"] and co.engine_power:
-        for k in range(K):
-            for s in range(S):
-                c[ctx["base_tm"] + k * S + s] += co.engine_power * co.kpi["b_m"]
+    lp = ctx["lp"]
+    lb, ub = lp.lb, lp.ub
+    lb[:A], ub[:A] = lo[:A], hi[:A]
+    ub[A:A + S] = w_hi  # W, P, z, mu
+    lb[A + S:A + 2 * S], ub[A + S:A + 2 * S] = p_lo, p_hi
+    ub[A + 2 * S:A + 3 * S] = w_hi * p_hi
+    lb[A + 3 * S:A + 4 * S], ub[A + 3 * S:A + 4 * S] = lo[A:], hi[A:]
+    base = A + 4 * S  # the tm, then the ti indicators
+    for use, first in ((ctx["use_tm"], 0), (ctx["use_ti"], 2 * KS)):
+        if use:
+            lb[base:base + KS] = np.greater(lo[first:first + KS], 0)
+            ub[base:base + KS] = np.not_equal(hi[first:first + KS], 0)
+            base += KS
+    lp.data[lp.env] = np.column_stack(
+        (-w_hi, -p_lo, -p_hi, p_lo, w_hi, p_hi)).ravel()
+    lp.rhs[lp.env_rows] = np.column_stack((-w_hi * p_lo, w_hi * p_hi)).ravel()
 
-    a_eq, b_eq = [], []
-    for k in range(K):
-        row = np.zeros(nv)
-        for s in range(S):
-            row[i_o(k, s)] = 1.0
-            row[i_m(k, s)] = -1.0
-        a_eq.append(row)
-        b_eq.append(0.0)
-        row = np.zeros(nv)
-        for s in range(S):
-            row[i_d(k, s)] = 1.0
-        a_eq.append(row)
-        b_eq.append(float(pend[k]))
-    dm, bm = co.kpi["delta_m"], co.kpi["b_m"]
-    dt, bt = co.inst["delta_m"], co.inst["b_m"]
-    for s in range(S):
-        row = np.zeros(nv)
-        row[i_w(s)] = 1.0
-        for k in range(K):
-            row[i_o(k, s)] = -dm
-            row[i_d(k, s)] = -dt
-            if ctx["use_tm"]:
-                row[ctx["base_tm"] + k * S + s] = -bm
-            if ctx["use_ti"]:
-                row[ctx["base_ti"] + k * S + s] = -bt
-        a_eq.append(row)
-        b_eq.append(0.0)
-        row = np.zeros(nv)
-        row[i_p(s)] = 1.0
-        row[i_mu(s)] = -q_e
-        rhs = 0.0
-        for k in range(K):
-            row[i_o(k, s)] = p_e[k]
-            row[i_m(k, s)] = -p_e[k]
-            row[i_d(k, s)] = -p_e[k]
-            rhs += p_e[k] * n0[k][s]
-        a_eq.append(row)
-        b_eq.append(rhs)
-
-    a_ub, b_ub = [], []
-    for k in range(K):
-        for s in range(S):
-            if ctx["use_tm"] and n0[k][s] > 0:
-                row = np.zeros(nv)
-                row[i_o(k, s)] = 1.0
-                row[ctx["base_tm"] + k * S + s] = -float(n0[k][s])
-                a_ub.append(row)
-                b_ub.append(0.0)
-            if ctx["use_ti"] and pend[k] > 0:
-                row = np.zeros(nv)
-                row[i_d(k, s)] = 1.0
-                row[ctx["base_ti"] + k * S + s] = -float(pend[k])
-                a_ub.append(row)
-                b_ub.append(0.0)
-            # hosting only on powered servers
-            row = np.zeros(nv)
-            row[i_o(k, s)] = -1.0
-            row[i_m(k, s)] = 1.0
-            row[i_d(k, s)] = 1.0
-            row[i_mu(s)] = -float(n_tot[k])
-            a_ub.append(row)
-            b_ub.append(-float(n0[k][s]))
-            # a migrating unit cannot land back on its own source
-            if pool[k] > 0:
-                row = np.zeros(nv)
-                row[i_o(k, s)] = 1.0
-                row[i_m(k, s)] = 1.0
-                for s2 in range(S):
-                    row[i_o(k, s2)] -= 1.0
-                a_ub.append(row)
-                b_ub.append(0.0)
-    for s in range(S):
-        if servers[s].optional_flag:
-            row = np.zeros(nv)
-            row[i_mu(s)] = 1.0
-            rhs = 0.0
-            for k in range(K):
-                row[i_o(k, s)] += 1.0
-                row[i_m(k, s)] -= 1.0
-                row[i_d(k, s)] -= 1.0
-                rhs += n0[k][s]
-            a_ub.append(row)
-            b_ub.append(rhs)
-        for ri, r in enumerate(RESOURCES):
-            row = np.zeros(nv)
-            row[i_mu(s)] = co.idle[r] + ctx["share"][r] - ctx["caps"][s][ri]
-            rhs = 0.0
-            for k in range(K):
-                p = co.loads[r][k]
-                row[i_o(k, s)] -= p
-                row[i_m(k, s)] += p
-                row[i_d(k, s)] += p
-                rhs -= p * n0[k][s]
-            a_ub.append(row)
-            b_ub.append(rhs)
-        if not ctx["sdl"]:
-            row = np.zeros(nv)
-            for k in range(K):
-                row[i_o(k, s)] = co.kpi["delta_d"]
-            a_ub.append(row)
-            b_ub.append(params.max_sm_downtime)
-        # McCormick envelope for z = W * P
-        wh, ph, pl = w_hi[s], p_hi[s], p_lo[s]
-        row = np.zeros(nv)
-        row[i_z(s)], row[i_p(s)], row[i_w(s)] = 1.0, -wh, -pl
-        a_ub.append(row)
-        b_ub.append(-wh * pl)
-        row = np.zeros(nv)
-        row[i_z(s)], row[i_w(s)] = 1.0, -ph
-        a_ub.append(row)
-        b_ub.append(0.0)
-        row = np.zeros(nv)
-        row[i_w(s)], row[i_z(s)] = pl, -1.0
-        a_ub.append(row)
-        b_ub.append(0.0)
-        row = np.zeros(nv)
-        row[i_p(s)], row[i_w(s)], row[i_z(s)] = wh, ph, -1.0
-        a_ub.append(row)
-        b_ub.append(wh * ph)
-
-    res = linprog(c, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-                  A_eq=np.array(a_eq), b_eq=np.array(b_eq),
-                  bounds=bounds, method="highs")
-    if not res.success:
+    res = linprog(lp)
+    if res.status == 2:
         return None, None
+    if not res.success:
+        return -math.inf, None
     return float(res.fun), res.x
+
+
+# `linprog` is the one entry of every node LP.  `_solve_lp` looks the name up
+# at each call, so a caller can wrap it.
+def linprog(lp):
+    """Solve the node LP `lp` (a `_NodeLP`) from scratch.
+
+    Returns .status in scipy.optimize.linprog's codes (0 optimal, 1
+    iteration or time limit, 2 infeasible, 3 unbounded, 4 anything else),
+    .success (status 0), .fun and .x.  scipy is imported on the first call,
+    not with the package.
+    """
+    return _backend()(lp)
+
+
+@functools.cache
+def _backend():
+    """A cold HiGHS solve through scipy's bundled binding (scipy >= 1.15),
+    else scipy.optimize.linprog."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return _solve_scipy
+    options = _core.HighsOptions()
+    # the options linprog(method="highs") sets
+    options.presolve = "on"
+    options.simplex_strategy = 1  # dual simplex
+    options.highs_debug_level = 0
+    options.output_flag = options.log_to_console = False
+    return functools.partial(_solve_highs, _core, options)
+
+
+_RESIDUAL_TOL = math.sqrt(1e-9) * 10  # linprog's check of an optimal point
+_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
+           "kInfeasible": 2, "kUnbounded": 3}
+
+
+def _solve_highs(core, options, lp):
+    """`lp` through a new HiGHS instance, judged as linprog judges it."""
+    n, m = len(lp.c), len(lp.rhs)
+    hlp = core.HighsLp()
+    hlp.num_col_, hlp.num_row_ = n, m
+    mat = hlp.a_matrix_
+    mat.num_col_, mat.num_row_ = n, m
+    mat.format_ = core.MatrixFormat.kColwise
+    mat.start_, mat.index_, mat.value_ = lp.indptr, lp.indices, lp.data
+    hlp.col_cost_, hlp.col_lower_, hlp.col_upper_ = lp.c, lp.lb, lp.ub
+    hlp.row_lower_, hlp.row_upper_ = lp.lhs, lp.rhs
+    highs = core._Highs()
+    highs.passOptions(options)
+    status, fun, x = 4, None, None
+    if highs.passModel(hlp) != core.HighsStatus.kError:
+        highs.run()
+        status = _STATUS.get(highs.getModelStatus().name, 4)
+    if status == 0:
+        fun = highs.getInfo().objective_function_value
+        sol = highs.getSolution()
+        x = np.array(sol.col_value)
+        slack = lp.rhs - np.array(sol.row_value)
+        tol = _RESIDUAL_TOL
+        if not (fun == fun and np.all(x >= lp.lb - tol)
+                and np.all(x <= lp.ub + tol)
+                and np.all(slack[:lp.m_ub] >= -tol)
+                and np.all(np.abs(slack[lp.m_ub:]) <= tol)):
+            status = 4
+    return SimpleNamespace(status=status, success=status == 0, fun=fun, x=x)
+
+
+def _solve_scipy(lp):
+    """`lp` through scipy.optimize.linprog(method="highs")."""
+    from scipy import optimize
+    n, m = len(lp.c), lp.m_ub
+    a = np.zeros((len(lp.rhs), n))
+    a[lp.indices, np.repeat(np.arange(n), np.diff(lp.indptr))] = lp.data
+    return optimize.linprog(lp.c, A_ub=a[:m], b_ub=lp.rhs[:m], A_eq=a[m:],
+                            b_eq=lp.rhs[m:],
+                            bounds=np.column_stack((lp.lb, lp.ub)),
+                            method="highs")
 
 
 def _try_candidate(ctx, mu, outgoing, incoming, deploys):
@@ -358,7 +429,7 @@ def _split(ctx, vals):
 
 def _extract_integral(ctx, x):
     """Round an integral LP point into aggregate dicts, or None."""
-    mu0 = ctx["i_mu"](0)
+    mu0 = ctx["A"] + 3 * ctx["S"]
     vals = []
     for v in itertools.chain(x[:ctx["A"]], x[mu0:mu0 + ctx["S"]]):
         r = round(v)
@@ -473,7 +544,7 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
                     mip_gap(inc_obj, glb) <= limits.gap_target:
                 return finalize(STATUS_GAP, "gap target reached", lb=glb)
 
-        cand = _extract_integral(ctx, node_x)
+        cand = None if node_x is None else _extract_integral(ctx, node_x)
         if cand is not None:
             hit = _try_candidate(ctx, *cand)
             if hit is not None and hit[1] < inc_obj - slack(inc_obj):
@@ -509,12 +580,17 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
                                   inc_obj))
             continue
 
-        # first fractional open aggregate, else the first open one
+        # first fractional open aggregate, else the first open one; without
+        # an LP point, the first open one split at its midpoint
         open_cols = [i for i in range(A) if lo[i] < hi[i]]
-        i = next((i for i in open_cols
-                  if abs(node_x[i] - round(node_x[i])) > _INT_TOL),
-                 open_cols[0])
-        pivot = min(max(int(math.floor(node_x[i])), lo[i]), hi[i] - 1)
+        if node_x is None:
+            i = open_cols[0]
+            pivot = (lo[i] + hi[i]) // 2
+        else:
+            i = next((i for i in open_cols
+                      if abs(node_x[i] - round(node_x[i])) > _INT_TOL),
+                     open_cols[0])
+            pivot = min(max(int(math.floor(node_x[i])), lo[i]), hi[i] - 1)
         low, high = node.child(), node.child()
         low.hi[i] = pivot
         high.lo[i] = pivot + 1

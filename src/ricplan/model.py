@@ -281,7 +281,7 @@ def sm_downtime(strategy, outgoing_count: int, cal: CalibrationSet, rho_mb: floa
     c = kpi_coeffs(cal, strategy.value, rho_mb)
     if outgoing_count == 0:
         return 0.0
-    return c["delta_d"] * outgoing_count + c["b_d"]
+    return _clamp(c["delta_d"] * outgoing_count + c["b_d"])
 
 
 def sdl_downtime() -> float:

@@ -313,7 +313,7 @@ def source_downtime(problem: SalProblem, outgoing) -> float:
     """Downtime (20) at a source sending outgoing[k] xApps of class k; the
     sum of model.sm_downtime."""
     c = problem.coeffs.kpi
-    return sum(c["delta_d"] * n + c["b_d"] if n else 0.0 for n in outgoing)
+    return sum(_floored(c["delta_d"], c["b_d"], n) for n in outgoing)
 
 
 def source_window(problem: SalProblem, outgoing, deploys) -> float:
@@ -321,15 +321,17 @@ def source_window(problem: SalProblem, outgoing, deploys) -> float:
     deploys[k] xApps of class k; the sum of model.migration_duration and
     model.instantiation_time."""
     m, i = problem.coeffs.kpi, problem.coeffs.inst
-    return sum(_duration(m, o) + _duration(i, d)
+    return sum(_floored(m["delta_m"], m["b_m"], o)
+               + _floored(i["delta_m"], i["b_m"], d)
                for o, d in zip(outgoing, deploys))
 
 
-def _duration(c, n) -> float:
-    """The duration line c for n xApps, floored at zero; 0 for none."""
+def _floored(slope, intercept, n) -> float:
+    """The line slope * n + intercept for n xApps, floored at zero (the
+    model's Clamp rule); 0 for none."""
     if not n:
         return 0.0
-    t = c["delta_m"] * n + c["b_m"]
+    t = slope * n + intercept
     return t if t > 0.0 else 0.0
 
 

@@ -185,6 +185,29 @@ def test_plan_negative_duration_intercept(tmp_path, solver, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "valid"
 
 
+@pytest.mark.parametrize("solver", ["bnb", "greedy", "bruteforce"])
+def test_plan_negative_downtime_intercept(tmp_path, solver, capsys):
+    # a fitted downtime line with b_d < 0 goes negative for few xApps; the
+    # model floors each class's downtime at zero
+    doc = low_load_doc(
+        classes=[{"id": "A", "msg_size": 100.0, "msg_period": 1.0},
+                 {"id": "B", "msg_size": 100.0, "msg_period": 0.1}],
+        servers=low_load_doc()["servers"][:2],
+        initial_counts={"A": [3, 1], "B": [3, 1]})
+    scenario = write_json(tmp_path / "s.json", doc)
+    cal = write_json(tmp_path / "cal.json", {"kpi": {"sm-mr": {"1.0": {
+        "delta_d": 1.0, "b_d": -5.0, "delta_m": 1.0, "b_m": 0.0}}}})
+    out = tmp_path / "out"
+    assert main(["plan", "--scenario", scenario, "--calibration", cal,
+                 "--solver", solver, "--out", str(out)]) == 0
+    plan = json.loads((out / "plan.json").read_text())
+    assert plan["mu"] == [1, 0]
+    assert plan["kpi"]["downtime_s"] == {"A": [0.0, 0.0], "B": [0.0, 0.0]}
+    assert main(["validate", "--scenario", scenario, "--calibration", cal,
+                 "--plan", str(out / "plan.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "valid"
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["plan"])  # missing required --scenario/--out

@@ -1,8 +1,13 @@
 """Exhaustive oracle, branch-and-bound, and greedy heuristic."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ricplan import (
@@ -246,18 +251,115 @@ def _small_search_problem(cal):
     return build_problem(state, make_params("sm-mr"), cal)
 
 
+def _sdl_search_problem(cal):
+    # under sdl the LP carries the tm and ti indicator columns and the
+    # engine's overhead share in its capacity rows
+    state = ClusterState(servers=make_servers(3, cpu=16.0),
+                         initial_counts={"D": (1, 0, 2), "A": (0, 4, 0)},
+                         initial_active=(1, 1, 1), pending_deploys={"D": 1})
+    return build_problem(state, make_params("sdl"), cal)
+
+
 # The search itself is pinned: a change to the node order, the branching or
 # the LP shows here.  A change that alters the search on purpose updates
 # these figures and records the new ones in CHANGES.md.
-@pytest.mark.parametrize("make, objective, nodes", [
+PINNED = [
     (_small_search_problem, 1219896.312, 17),
     (lambda cal: _scale_problem(cal, 116), 3277123.1532, 685),
-], ids=["small", "scale-116"])
+    (_sdl_search_problem, 1322720.913, 113),
+]
+PINNED_IDS = ["small", "scale-116", "sdl"]
+
+
+@pytest.mark.parametrize("make, objective, nodes", PINNED, ids=PINNED_IDS)
 def test_bnb_search_is_pinned(cal, make, objective, nodes):
     _, report = solve_bnb(make(cal), SolveLimits(time_limit=120.0))
     assert report.status == STATUS_OPTIMAL
     assert report.objective == pytest.approx(objective, rel=1e-12)
     assert report.nodes_explored == nodes
+
+
+def test_sdl_pin_puts_indicators_and_share_in_the_lp(cal):
+    problem = _sdl_search_problem(cal)
+    ctx = bnb._context(problem)
+    assert ctx["use_tm"] and ctx["use_ti"]
+    assert problem.coeffs.overhead["CPU"] > 0
+
+
+@pytest.mark.parametrize("make", [m for m, _, _ in PINNED], ids=PINNED_IDS)
+def test_lp_backends_agree(cal, make, monkeypatch):
+    # every node LP of the search, through HiGHS directly and through
+    # scipy.optimize.linprog: same status, objective and point
+    pytest.importorskip("scipy.optimize._highspy._core")
+    highs = bnb._backend()
+    assert highs is not bnb._solve_scipy
+    seen = []
+
+    def both(lp):
+        a, b = highs(lp), bnb._solve_scipy(lp)
+        assert (a.status, a.success, repr(a.fun)) == \
+            (b.status, b.success, repr(b.fun))
+        assert (a.x is None and b.x is None) or np.array_equal(a.x, b.x)
+        seen.append(a.status)
+        return a
+
+    monkeypatch.setattr(bnb, "linprog", both)
+    _, report = solve_bnb(make(cal), SolveLimits(time_limit=120.0))
+    assert report.status == STATUS_OPTIMAL
+    assert seen and 0 in seen
+
+
+def test_lp_backend_falls_back_to_linprog(monkeypatch):
+    # as on scipy < 1.15, where the binding does not exist
+    pytest.importorskip("scipy.optimize._highspy._core")
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    monkeypatch.delattr(sys.modules["scipy.optimize._highspy"], "_core")
+    assert bnb._backend.__wrapped__() is bnb._solve_scipy
+
+
+def _failing_lp(real, fail_at):
+    """`real`, except that call number `fail_at` (every call for None)
+    fails as a numerical failure would."""
+    calls = []
+
+    def lp(*args, **kwargs):
+        calls.append(None)
+        if fail_at is None or len(calls) - 1 == fail_at:
+            return SimpleNamespace(status=4, success=False, fun=None, x=None)
+        return real(*args, **kwargs)
+
+    return lp
+
+
+# greedy's seed is above the optimum here; failing the root LP or the sixth
+# LP (call 5) used to prune the optimum's box and still report "optimal"
+@pytest.mark.parametrize("fail_at", [0, 5, None],
+                         ids=["root", "inner", "every"])
+def test_failed_lp_never_closes_a_node(cal, fail_at, monkeypatch):
+    state = ClusterState(
+        servers=make_servers(3, n_mandatory=2, cpu=64.0, mem=64.0),
+        initial_counts={"A": (1, 1, 3)}, initial_active=(1, 1, 1),
+        pending_deploys={"A": 1})
+    problem = build_problem(state, make_params("sdl"), cal)
+    _, exact = solve_bruteforce(problem, SolveLimits())
+    seed, _ = solve_greedy(problem)
+    assert seed.energy_total > exact.objective * (1 + 1e-9)
+
+    monkeypatch.setattr(bnb, "linprog", _failing_lp(bnb.linprog, fail_at))
+    _, report = solve_bnb(problem, SolveLimits(time_limit=60.0))
+    assert report.status == STATUS_OPTIMAL
+    assert report.objective == pytest.approx(exact.objective, rel=1e-9)
+
+
+def test_import_leaves_scipy_unloaded():
+    # only a node LP needs scipy; importing the package and loading the
+    # calibration must not pay for it
+    code = ("import sys, ricplan; ricplan.default_calibration(); "
+            "print('scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 # randomized cross-checks
