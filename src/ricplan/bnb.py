@@ -18,11 +18,16 @@ an integral LP point and an enumerated box point split back into
 
 The node LP is built once per solve (`_NodeLP`: cost vector, one CSC
 matrix, row sides); per node `_solve_lp` writes only the column bounds, the
-envelope coefficients and the envelope right-hand sides.  Every node LP goes
-through the module-level name `linprog`, looked up at each call: a cold HiGHS
-solve through scipy's bundled binding, with the options and the residual
-check of `scipy.optimize.linprog(method="highs")`, or that function itself on
-scipy < 1.15.  Only an LP proven infeasible closes a node.  A failed LP
+envelope coefficients and the envelope and downtime right-hand sides.  Every
+node LP goes through the module-level name `linprog`, looked up at each call.
+Each solve keeps one live HiGHS model, through scipy's bundled binding: the
+first LP loads the skeleton (presolve on, dual simplex, as
+`scipy.optimize.linprog(method="highs")` sets); every later LP pushes those
+node-dependent values and re-solves from the previous basis.  A point counts
+as optimal only if it passes linprog's residual check.  A warm start can
+land on a different optimal vertex than a cold solve of the same LP, so the
+LP value does not depend on the nodes solved before (beyond rounding), but
+the branching can.  Only an LP proven infeasible closes a node.  A failed LP
 (iteration limit, numerical trouble) keeps the node's inherited bound, and
 the node branches without an LP point: activations first, else the first
 open aggregate split at its midpoint.
@@ -115,13 +120,15 @@ class _NodeLP:
     W, the power P, their product z and the activation mu (S each), then the
     `tm` and `ti` indicator columns when in use.  Rows: the m_ub inequality
     rows (lhs -inf), then the equality rows (lhs == rhs).  Only the column
-    bounds, the 6*S McCormick coefficients data[env] and the 2*S envelope
-    right-hand sides rhs[env_rows] depend on the node; `_solve_lp` writes
-    those in place before each solve.
+    bounds, the 6*S McCormick coefficients data[env] (at row env_at[0],
+    column env_at[1]) and the right-hand sides rhs[node_rows] (2*S envelope
+    rows, then the S downtime rows outside sdl) depend on the node;
+    `_solve_lp` writes those in place before each solve, and `linprog`
+    pushes them into `highs`, the solve's live HiGHS model.
     """
 
     __slots__ = ("c", "indptr", "indices", "data", "lhs", "rhs", "lb", "ub",
-                 "m_ub", "env", "env_rows")
+                 "m_ub", "env", "env_at", "node_rows", "highs")
 
 
 def _node_lp(ctx):
@@ -186,7 +193,7 @@ def _node_lp(ctx):
             if pool[k] > 0:
                 row(0.0, (i_o(k, s), 1.0), (i_m(k, s), 1.0),
                     *((i_o(k, s2), -1.0) for s2 in range(S)))
-    env, env_rows = [], []
+    env, env_rows, down_rows = [], [], []
     for s in range(S):
         aggs = [(k, i_o(k, s), i_m(k, s), i_d(k, s)) for k in range(K)]
         if servers[s].optional_flag:
@@ -202,6 +209,7 @@ def _node_lp(ctx):
                 *(e for k, o, m, d in aggs
                   for e in ((o, -p[k]), (m, p[k]), (d, p[k]))))
         if not sdl:
+            down_rows.append(len(rows))
             row(params.max_sm_downtime,
                 *((o, co.kpi["delta_d"]) for _, o, _, _ in aggs))
         # McCormick envelope for z = W * P
@@ -242,8 +250,9 @@ def _node_lp(ctx):
     lp.indptr = np.searchsorted(cols, np.arange(nv + 1)).astype(np.int32)
     lp.env = np.array([lp.indptr[j] + np.searchsorted(
         lp.indices[lp.indptr[j]:lp.indptr[j + 1]], i) for i, j in env])
-    lp.env_rows = np.array(env_rows)
-    lp.c, lp.m_ub = c, m_ub
+    lp.env_at = np.array(env).T
+    lp.node_rows = np.array(env_rows + down_rows)
+    lp.c, lp.m_ub, lp.highs = c, m_ub, None
     lp.rhs = np.array(rhs)
     lp.lhs = np.concatenate((np.full(m_ub, -np.inf), lp.rhs[m_ub:]))
     lp.lb, lp.ub = np.zeros(nv), np.zeros(nv)
@@ -308,7 +317,15 @@ def _solve_lp(ctx, node):
             base += KS
     lp.data[lp.env] = np.column_stack(
         (-w_hi, -p_lo, -p_hi, p_lo, w_hi, p_hi)).ravel()
-    lp.rhs[lp.env_rows] = np.column_stack((-w_hi * p_lo, w_hi * p_hi)).ravel()
+    rhs = [np.column_stack((-w_hi * p_lo, w_hi * p_hi)).ravel()]
+    if problem.params.strategy is not StrategyId.SDL:
+        # a class leaving s adds at least delta_d * o[k] + b_d to its
+        # downtime, so sum_k delta_d * o[k] <= T - b_d * #{k : o[k] > 0}:
+        # for b_d < 0 count every class that may leave, else drop the term
+        may_leave = np.count_nonzero(np.reshape(hi[:KS], (K, S)), axis=0)
+        rhs.append(problem.params.max_sm_downtime
+                   - min(co.kpi["b_d"], 0.0) * may_leave)
+    lp.rhs[lp.node_rows] = np.concatenate(rhs)
 
     res = linprog(lp)
     if res.status == 2:
@@ -321,53 +338,33 @@ def _solve_lp(ctx, node):
 # `linprog` is the one entry of every node LP.  `_solve_lp` looks the name up
 # at each call, so a caller can wrap it.
 def linprog(lp):
-    """Solve the node LP `lp` (a `_NodeLP`) from scratch.
+    """Solve the node LP `lp` (a `_NodeLP`) on its live HiGHS model.
 
-    Returns .status in scipy.optimize.linprog's codes (0 optimal, 1
-    iteration or time limit, 2 infeasible, 3 unbounded, 4 anything else),
+    The first call loads `lp` into a new HiGHS instance, held in `lp.highs`;
+    each later call pushes the column bounds, the envelope coefficients and
+    the right-hand sides of `lp.node_rows`, then re-solves from the previous
+    basis.  Returns .status in scipy.optimize.linprog's codes (0 optimal, 1
+    iteration or time limit, 2 infeasible, 3 unbounded, 4 anything else,
+    including an optimum whose point fails linprog's residual check),
     .success (status 0), .fun and .x.  scipy is imported on the first call,
     not with the package.
     """
-    return _backend()(lp)
-
-
-@functools.cache
-def _backend():
-    """A cold HiGHS solve through scipy's bundled binding (scipy >= 1.15),
-    else scipy.optimize.linprog."""
-    try:
-        from scipy.optimize._highspy import _core
-    except ImportError:
-        return _solve_scipy
-    options = _core.HighsOptions()
-    # the options linprog(method="highs") sets
-    options.presolve = "on"
-    options.simplex_strategy = 1  # dual simplex
-    options.highs_debug_level = 0
-    options.output_flag = options.log_to_console = False
-    return functools.partial(_solve_highs, _core, options)
-
-
-_RESIDUAL_TOL = math.sqrt(1e-9) * 10  # linprog's check of an optimal point
-_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
-           "kInfeasible": 2, "kUnbounded": 3}
-
-
-def _solve_highs(core, options, lp):
-    """`lp` through a new HiGHS instance, judged as linprog judges it."""
-    n, m = len(lp.c), len(lp.rhs)
-    hlp = core.HighsLp()
-    hlp.num_col_, hlp.num_row_ = n, m
-    mat = hlp.a_matrix_
-    mat.num_col_, mat.num_row_ = n, m
-    mat.format_ = core.MatrixFormat.kColwise
-    mat.start_, mat.index_, mat.value_ = lp.indptr, lp.indices, lp.data
-    hlp.col_cost_, hlp.col_lower_, hlp.col_upper_ = lp.c, lp.lb, lp.ub
-    hlp.row_lower_, hlp.row_upper_ = lp.lhs, lp.rhs
-    highs = core._Highs()
-    highs.passOptions(options)
+    core, options = _highspy()
+    highs = lp.highs
+    if highs is None:
+        highs = lp.highs = _load(core, options, lp)
+        pushed = highs is not None
+    else:
+        n = len(lp.c)
+        statuses = [highs.changeColsBounds(n, np.arange(n, dtype=np.int32),
+                                           lp.lb, lp.ub)]
+        statuses += map(highs.changeCoeff, *lp.env_at, lp.data[lp.env])
+        statuses += map(highs.changeRowBounds, lp.node_rows,
+                        lp.lhs[lp.node_rows], lp.rhs[lp.node_rows])
+        # every node pushes all of these, so a failed push spoils one node
+        pushed = core.HighsStatus.kError not in statuses
     status, fun, x = 4, None, None
-    if highs.passModel(hlp) != core.HighsStatus.kError:
+    if pushed:
         highs.run()
         status = _STATUS.get(highs.getModelStatus().name, 4)
     if status == 0:
@@ -384,16 +381,40 @@ def _solve_highs(core, options, lp):
     return SimpleNamespace(status=status, success=status == 0, fun=fun, x=x)
 
 
-def _solve_scipy(lp):
-    """`lp` through scipy.optimize.linprog(method="highs")."""
-    from scipy import optimize
-    n, m = len(lp.c), lp.m_ub
-    a = np.zeros((len(lp.rhs), n))
-    a[lp.indices, np.repeat(np.arange(n), np.diff(lp.indptr))] = lp.data
-    return optimize.linprog(lp.c, A_ub=a[:m], b_ub=lp.rhs[:m], A_eq=a[m:],
-                            b_eq=lp.rhs[m:],
-                            bounds=np.column_stack((lp.lb, lp.ub)),
-                            method="highs")
+@functools.cache
+def _highspy():
+    """scipy's bundled HiGHS binding and the options that
+    linprog(method="highs") sets."""
+    from scipy.optimize._highspy import _core
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = 1  # dual simplex
+    options.highs_debug_level = 0
+    options.output_flag = options.log_to_console = False
+    return _core, options
+
+
+_RESIDUAL_TOL = math.sqrt(1e-9) * 10  # linprog's check of an optimal point
+_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
+           "kInfeasible": 2, "kUnbounded": 3}
+
+
+def _load(core, options, lp):
+    """A new HiGHS instance holding `lp`, or None if HiGHS rejects it."""
+    n, m = len(lp.c), len(lp.rhs)
+    hlp = core.HighsLp()
+    hlp.num_col_, hlp.num_row_ = n, m
+    mat = hlp.a_matrix_
+    mat.num_col_, mat.num_row_ = n, m
+    mat.format_ = core.MatrixFormat.kColwise
+    mat.start_, mat.index_, mat.value_ = lp.indptr, lp.indices, lp.data
+    hlp.col_cost_, hlp.col_lower_, hlp.col_upper_ = lp.c, lp.lb, lp.ub
+    hlp.row_lower_, hlp.row_upper_ = lp.lhs, lp.rhs
+    highs = core._Highs()
+    highs.passOptions(options)
+    if highs.passModel(hlp) == core.HighsStatus.kError:
+        return None
+    return highs
 
 
 def _try_candidate(ctx, mu, outgoing, incoming, deploys):

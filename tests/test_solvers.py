@@ -12,6 +12,7 @@ import pytest
 
 from ricplan import (
     ClusterState,
+    ServerSpec,
     SolveLimits,
     build_problem,
     load_calibration,
@@ -195,6 +196,47 @@ def test_solvers_drain_with_downtime_intercept(b_d, td_max, mu, energy):
         assert validate_plan(problem, plan).valid
 
 
+def _negative_b_d_problem(servers, counts, deploys=None):
+    # sm-mr at 100 MB with b_d = -20 s and a 12 s downtime budget
+    cal = load_calibration({"kpi": {"sm-mr": {"100.0": {
+        "delta_d": 10.55, "b_d": -20.0, "delta_m": 10.55, "b_m": 0.0}}}})
+    state = ClusterState(servers=servers, initial_counts=counts,
+                         initial_active=(1,) * len(servers),
+                         pending_deploys=deploys or {})
+    return build_problem(state, make_params("sm-mr", rho_mb=100.0,
+                                            td_max=12.0), cal)
+
+
+def _found_b_d_problem():
+    return _negative_b_d_problem(
+        make_servers(3, n_mandatory=2, cpu=64.0, mem=64.0),
+        {"D": (1, 0, 2), "A": (2, 0, 0)})
+
+
+def _seed_70_b_d_problem():
+    # draw 70 of scripts/make_random_scenario.py (3 servers, 2 classes)
+    servers = (ServerSpec("s1", False, 128.0, 125.0, 250.0),
+               ServerSpec("s2", True, 64.0, 64.0, 250.0),
+               ServerSpec("s3", False, 64.0, 125.0, 250.0))
+    return _negative_b_d_problem(servers, {"A": (1, 0, 1), "B": (1, 2, 1)},
+                                 {"A": 1})
+
+
+# with b_d < 0 the LP row delta_d * sum(o) <= T cut off the optimum, and bnb
+# reported 1070284.513 J and 1141802.2165 J as optimal
+@pytest.mark.parametrize("make, energy", [
+    (_found_b_d_problem, 1070110.86),
+    (_seed_70_b_d_problem, 1141651.08),
+], ids=["found", "seed-70"])
+def test_bnb_downtime_row_relaxes_negative_intercept(make, energy):
+    problem = make()
+    _, exact = solve_bruteforce(problem, SolveLimits())
+    _, report = solve_bnb(problem, SolveLimits(time_limit=60.0))
+    assert exact.status == report.status == STATUS_OPTIMAL
+    assert exact.objective == pytest.approx(energy, rel=1e-9)
+    assert report.objective == pytest.approx(exact.objective, rel=1e-9)
+
+
 def test_bnb_uses_state_size_entry_of_backend_calibration():
     # a kpi.sdl entry at the scenario's state size overrides the wildcard
     # row for migration windows; bnb must bound with the same entry
@@ -265,7 +307,7 @@ def _sdl_search_problem(cal):
 # these figures and records the new ones in CHANGES.md.
 PINNED = [
     (_small_search_problem, 1219896.312, 17),
-    (lambda cal: _scale_problem(cal, 116), 3277123.1532, 685),
+    (lambda cal: _scale_problem(cal, 116), 3277123.1532, 553),
     (_sdl_search_problem, 1322720.913, 113),
 ]
 PINNED_IDS = ["small", "scale-116", "sdl"]
@@ -286,20 +328,50 @@ def test_sdl_pin_puts_indicators_and_share_in_the_lp(cal):
     assert problem.coeffs.overhead["CPU"] > 0
 
 
-@pytest.mark.parametrize("make", [m for m, _, _ in PINNED], ids=PINNED_IDS)
+def _dense(lp):
+    """The constraint matrix of the node LP `lp` as a dense array."""
+    n = len(lp.c)
+    a = np.zeros((len(lp.rhs), n))
+    a[lp.indices, np.repeat(np.arange(n), np.diff(lp.indptr))] = lp.data
+    return a
+
+
+def _solve_scipy(lp):
+    """`lp` solved cold by scipy.optimize.linprog(method="highs")."""
+    from scipy import optimize
+    a, m = _dense(lp), lp.m_ub
+    return optimize.linprog(lp.c, A_ub=a[:m], b_ub=lp.rhs[:m], A_eq=a[m:],
+                            b_eq=lp.rhs[m:],
+                            bounds=np.column_stack((lp.lb, lp.ub)),
+                            method="highs")
+
+
+def _meets(lp, x, tol=bnb._RESIDUAL_TOL):
+    """Whether `x` meets the bounds and rows of `lp` as linprog checks."""
+    slack = lp.rhs - _dense(lp) @ x
+    return bool(np.all(x >= lp.lb - tol) and np.all(x <= lp.ub + tol)
+                and np.all(slack[:lp.m_ub] >= -tol)
+                and np.all(np.abs(slack[lp.m_ub:]) <= tol))
+
+
+LP_CASES = [m for m, _, _ in PINNED] + [lambda cal: _found_b_d_problem()]
+
+
+@pytest.mark.parametrize("make", LP_CASES, ids=PINNED_IDS + ["negative-b_d"])
 def test_lp_backends_agree(cal, make, monkeypatch):
-    # every node LP of the search, through HiGHS directly and through
-    # scipy.optimize.linprog: same status, objective and point
-    pytest.importorskip("scipy.optimize._highspy._core")
-    highs = bnb._backend()
-    assert highs is not bnb._solve_scipy
-    seen = []
+    # every node LP of the search, on the live warm-started model and cold
+    # through scipy.optimize.linprog: the same status and objective, and a
+    # point that meets the node's LP as built, so a bound, coefficient or
+    # right-hand side the live model was not sent shows here.  A warm start
+    # may return another optimal vertex, so the points are not compared.
+    live, seen = bnb.linprog, []
 
     def both(lp):
-        a, b = highs(lp), bnb._solve_scipy(lp)
-        assert (a.status, a.success, repr(a.fun)) == \
-            (b.status, b.success, repr(b.fun))
-        assert (a.x is None and b.x is None) or np.array_equal(a.x, b.x)
+        a, b = live(lp), _solve_scipy(lp)
+        assert (a.status, a.success) == (b.status, b.success)
+        if a.success:
+            assert a.fun == pytest.approx(b.fun, rel=1e-9)
+            assert _meets(lp, a.x)
         seen.append(a.status)
         return a
 
@@ -309,12 +381,26 @@ def test_lp_backends_agree(cal, make, monkeypatch):
     assert seen and 0 in seen
 
 
-def test_lp_backend_falls_back_to_linprog(monkeypatch):
-    # as on scipy < 1.15, where the binding does not exist
-    pytest.importorskip("scipy.optimize._highspy._core")
-    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-    monkeypatch.delattr(sys.modules["scipy.optimize._highspy"], "_core")
-    assert bnb._backend.__wrapped__() is bnb._solve_scipy
+def test_solves_do_not_leak_into_each_other(cal, monkeypatch):
+    # each solve owns its live LP model: solving another problem in between
+    # leaves the search of the first as it was
+    live, calls = bnb.linprog, []
+
+    def counted(lp):
+        calls.append(None)
+        return live(lp)
+
+    monkeypatch.setattr(bnb, "linprog", counted)
+
+    def run(make):
+        calls.clear()
+        _, report = solve_bnb(make(cal), SolveLimits(time_limit=120.0))
+        return (report.status, repr(report.objective), report.nodes_explored,
+                len(calls))
+
+    first = run(_sdl_search_problem)
+    run(_small_search_problem)
+    assert run(_sdl_search_problem) == first
 
 
 def _failing_lp(real, fail_at):
