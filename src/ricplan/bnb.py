@@ -13,7 +13,7 @@ A node is a box given by one bound vector pair `lo`, `hi` over
 (o | m | d | mu): the first A = 3*K*S entries are the aggregate LP columns in
 LP order (outgoing, incoming, deployed; class-major, then server), the last S
 the activations.  The LP's aggregate column bounds are `lo[:A]`, `hi[:A]`;
-an integral LP point and an enumerated box point split back into
+an integral LP point and a fixed box (`lo == hi`) split back into
 (mu, outgoing, incoming, deploys) the same way.
 
 The node LP is built once per solve (`_NodeLP`: cost vector, one CSC
@@ -27,17 +27,20 @@ node-dependent values and re-solves from the previous basis.  A point counts
 as optimal only if it passes linprog's residual check.  A warm start can
 land on a different optimal vertex than a cold solve of the same LP, so the
 LP value does not depend on the nodes solved before (beyond rounding), but
-the branching can.  Only an LP proven infeasible closes a node.  A failed LP
-(iteration limit, numerical trouble) keeps the node's inherited bound, and
-the node branches without an LP point: activations first, else the first
-open aggregate split at its midpoint.
+the branching can.
+
+Every node, the root included, takes the same step: pop, LP, candidate,
+branch.  Only an LP proven infeasible closes a node.  A failed LP (iteration
+limit, numerical trouble) keeps the node's inherited bound, and the node
+branches without an LP point.  The candidate is the integral LP point; a
+fixed box is judged as its one point whether or not its LP succeeded, and
+then closes.
 
 Branching is deterministic: activation variables first (lowest index, the
 off-child explored first, with full-drain propagation), then the first open
 aggregate whose LP value is fractional, else the first open one, splitting
-its bounds at the LP value.  Once every activation is fixed, boxes of at most
-_ENUM_CAP points are enumerated outright.  Runs are sequential and
-reproducible.
+its bounds at the LP value (at its midpoint without an LP point).  Runs are
+sequential and reproducible.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ from .problem import (
 )
 
 _INT_TOL = 1e-6
-_ENUM_CAP = 256
 
 
 class _Node:
@@ -179,7 +181,7 @@ def _node_lp(ctx):
         rows.append(r)
         rhs.append(b)
 
-    nan = math.nan  # a node-dependent envelope entry, written per node
+    nan = math.nan  # a node-dependent entry, written per node
     for k in range(K):
         for s in range(S):
             if use_tm and n0[k][s] > 0:
@@ -210,8 +212,7 @@ def _node_lp(ctx):
                   for e in ((o, -p[k]), (m, p[k]), (d, p[k]))))
         if not sdl:
             down_rows.append(len(rows))
-            row(params.max_sm_downtime,
-                *((o, co.kpi["delta_d"]) for _, o, _, _ in aggs))
+            row(nan, *((o, co.kpi["delta_d"]) for _, o, _, _ in aggs))
         # McCormick envelope for z = W * P
         w, p, z = i_w(s), i_p(s), i_z(s)
         first = len(rows)
@@ -320,10 +321,11 @@ def _solve_lp(ctx, node):
     rhs = [np.column_stack((-w_hi * p_lo, w_hi * p_hi)).ravel()]
     if problem.params.strategy is not StrategyId.SDL:
         # a class leaving s adds at least delta_d * o[k] + b_d to its
-        # downtime, so sum_k delta_d * o[k] <= T - b_d * #{k : o[k] > 0}:
+        # downtime, and the validator grants T up to allowance(T), so
+        # sum_k delta_d * o[k] <= allowance(T) - b_d * #{k : o[k] > 0}:
         # for b_d < 0 count every class that may leave, else drop the term
         may_leave = np.count_nonzero(np.reshape(hi[:KS], (K, S)), axis=0)
-        rhs.append(problem.params.max_sm_downtime
+        rhs.append(allowance(problem.params.max_sm_downtime)
                    - min(co.kpi["b_d"], 0.0) * may_leave)
     lp.rhs[lp.node_rows] = np.concatenate(rhs)
 
@@ -420,10 +422,6 @@ def _load(core, options, lp):
 def _try_candidate(ctx, mu, outgoing, incoming, deploys):
     """Exact evaluation of an aggregate assignment; (plan, energy) or None."""
     problem = ctx["problem"]
-    classes = ctx["classes"]
-    for k, cls in enumerate(classes):
-        if sum(outgoing[cls]) != sum(incoming[cls]):
-            return None
     try:
         plan = plan_from_aggregates(problem, mu, outgoing, incoming, deploys)
     except ValueError:
@@ -460,15 +458,6 @@ def _extract_integral(ctx, x):
     return _split(ctx, vals)
 
 
-def _box_points(ctx, node):
-    """Iterate all integer aggregate points of a fully mu-fixed node."""
-    A = ctx["A"]
-    mu = node.lo[A:]
-    ranges = [range(node.lo[i], node.hi[i] + 1) for i in range(A)]
-    for point in itertools.product(*ranges):
-        yield _split(ctx, list(point) + mu)
-
-
 def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
     """Globally minimal-energy plan, an optimality certificate, or a proof of
     infeasibility, subject to the time and gap limits."""
@@ -497,30 +486,12 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
         incumbent, inc_obj = seed, seed.energy_total
         trace.append(("incumbent", time.perf_counter() - t0, inc_obj))
 
-    root = _root_node(ctx)
-    lp_val, lp_x = _solve_lp(ctx, root)
     nodes = 0
-    if lp_val is None:
-        status = STATUS_INFEASIBLE if incumbent is None else STATUS_OPTIMAL
-        obj = None if incumbent is None else inc_obj
-        lb = math.inf if incumbent is None else inc_obj
-        detail = ("no feasible assignment; check capacity (18) and downtime "
-                  "(20) budgets") if incumbent is None else ""
-        if incumbent is not None:
-            incumbent = annotate_plan(problem, incumbent)
-        return incumbent, SolveReport(
-            status=status, objective=obj, lower_bound=lb,
-            mip_gap=mip_gap(obj, lb), runtime=time.perf_counter() - t0,
-            nodes_explored=1, detail=detail, trace=tuple(trace),
-        )
-    root.bound = lp_val
-    trace.append(("bound", time.perf_counter() - t0, lp_val))
-
-    stack = [(root, lp_val, lp_x)]
+    stack = [_root_node(ctx)]
 
     def open_lb(extra=None):
         """Certified floor: min bound over open boxes plus the incumbent."""
-        vals = [n.bound for n, _, _ in stack]
+        vals = [n.bound for n in stack]
         if extra is not None:
             vals.append(extra)
         if incumbent is not None:
@@ -546,17 +517,16 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
     while stack:
         if time.perf_counter() - t0 > limits.time_limit:
             return finalize(STATUS_TIME, "time limit reached")
-        node, node_lp, node_x = stack.pop()
+        node = stack.pop()
         nodes += 1
         if node.bound >= inc_obj - slack(inc_obj):
             continue
+        node_lp, node_x = _solve_lp(ctx, node)
         if node_lp is None:
-            node_lp, node_x = _solve_lp(ctx, node)
-            if node_lp is None:
-                continue
-            node.bound = max(node.bound, node_lp)
-            if node.bound >= inc_obj - slack(inc_obj):
-                continue
+            continue
+        node.bound = max(node.bound, node_lp)
+        if node.bound >= inc_obj - slack(inc_obj):
+            continue
 
         if nodes % 64 == 0:
             glb = open_lb(node.bound)
@@ -565,7 +535,12 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
                     mip_gap(inc_obj, glb) <= limits.gap_target:
                 return finalize(STATUS_GAP, "gap target reached", lb=glb)
 
-        cand = None if node_x is None else _extract_integral(ctx, node_x)
+        lo, hi = node.lo, node.hi
+        # a fixed box is judged as its one point, whatever its LP returned
+        if lo == hi:
+            cand = _split(ctx, lo)
+        else:
+            cand = None if node_x is None else _extract_integral(ctx, node_x)
         if cand is not None:
             hit = _try_candidate(ctx, *cand)
             if hit is not None and hit[1] < inc_obj - slack(inc_obj):
@@ -574,13 +549,12 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
                 if node.bound >= inc_obj - slack(inc_obj):
                     continue
 
-        lo, hi = node.lo, node.hi
         # activation branching first; the on-child is explored second
         s = next((s for s in range(S) if lo[A + s] < hi[A + s]), None)
         if s is not None:
             on = node.child()
             on.lo[A + s] = 1
-            stack.append((on, None, None))
+            stack.append(on)
             if drain_ok(problem, s):
                 off = node.child()
                 off.hi[A + s] = 0
@@ -589,21 +563,14 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
                     for j, v in ((i, ctx["n0"][k][s]), (K * S + i, 0),
                                  (2 * K * S + i, 0)):
                         off.lo[j] = off.hi[j] = v
-                stack.append((off, None, None))
-            continue
-
-        if math.prod(hi[i] - lo[i] + 1 for i in range(A)) <= _ENUM_CAP:
-            for point in _box_points(ctx, node):
-                hit = _try_candidate(ctx, *point)
-                if hit is not None and hit[1] < inc_obj - slack(inc_obj):
-                    incumbent, inc_obj = hit
-                    trace.append(("incumbent", time.perf_counter() - t0,
-                                  inc_obj))
+                stack.append(off)
             continue
 
         # first fractional open aggregate, else the first open one; without
         # an LP point, the first open one split at its midpoint
         open_cols = [i for i in range(A) if lo[i] < hi[i]]
+        if not open_cols:
+            continue
         if node_x is None:
             i = open_cols[0]
             pivot = (lo[i] + hi[i]) // 2
@@ -615,8 +582,8 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
         low, high = node.child(), node.child()
         low.hi[i] = pivot
         high.lo[i] = pivot + 1
-        stack.append((high, None, None))
-        stack.append((low, None, None))
+        stack.append(high)
+        stack.append(low)
 
     if incumbent is None:
         return finalize(STATUS_INFEASIBLE,

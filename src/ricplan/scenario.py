@@ -88,18 +88,12 @@ def _count(value, where: str) -> int:
     return value
 
 
-def parse_scenario(source, strategy_override: Optional[str] = None) -> ScenarioFile:
-    """Parse a scenario JSON file or mapping into typed objects."""
-    data = _load(source)
-    _check_keys(data, ("classes", "servers", "initial_counts", "initial_active",
-                       "pending_deploys", "pending_undeploys", "params",
-                       "limits"), "scenario")
-
-    raw_classes = _require(data, "classes", "scenario")
-    if not isinstance(raw_classes, list) or not raw_classes:
+def _classes(raw) -> Tuple[XAppClass, ...]:
+    """The `classes` list of a scenario or sweep file."""
+    if not isinstance(raw, list) or not raw:
         raise ScenarioError("classes: expected a non-empty list")
     classes = []
-    for i, entry in enumerate(raw_classes):
+    for i, entry in enumerate(raw):
         where = f"classes[{i}]"
         if not isinstance(entry, Mapping):
             raise ScenarioError(f"{where}: expected an object")
@@ -114,6 +108,17 @@ def parse_scenario(source, strategy_override: Optional[str] = None) -> ScenarioF
             ))
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
+    return tuple(classes)
+
+
+def parse_scenario(source, strategy_override: Optional[str] = None) -> ScenarioFile:
+    """Parse a scenario JSON file or mapping into typed objects."""
+    data = _load(source)
+    _check_keys(data, ("classes", "servers", "initial_counts", "initial_active",
+                       "pending_deploys", "pending_undeploys", "params",
+                       "limits"), "scenario")
+
+    classes = _classes(_require(data, "classes", "scenario"))
     class_ids = [c.id for c in classes]
     if len(set(class_ids)) != len(class_ids):
         raise ScenarioError("classes: duplicate class ids")
@@ -223,7 +228,7 @@ def parse_scenario(source, strategy_override: Optional[str] = None) -> ScenarioF
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    return ScenarioFile(classes=tuple(classes), state=state, params=params,
+    return ScenarioFile(classes=classes, state=state, params=params,
                         limits=limits)
 
 
@@ -233,25 +238,7 @@ def parse_sweep(source) -> SweepSpec:
     _check_keys(data, ("classes", "dominant_class", "dominant_share",
                        "count_range", "rho_list_mb", "nu_list_s",
                        "strategies"), "sweep")
-    raw_classes = _require(data, "classes", "sweep")
-    if not isinstance(raw_classes, list) or not raw_classes:
-        raise ScenarioError("classes: expected a non-empty list")
-    classes = []
-    for i, entry in enumerate(raw_classes):
-        where = f"classes[{i}]"
-        if not isinstance(entry, Mapping):
-            raise ScenarioError(f"{where}: expected an object")
-        _check_keys(entry, ("id", "msg_size", "msg_period"), where)
-        try:
-            classes.append(XAppClass(
-                id=str(_require(entry, "id", where)),
-                msg_size=_number(_require(entry, "msg_size", where),
-                                 f"{where}.msg_size"),
-                msg_period=_number(_require(entry, "msg_period", where),
-                                   f"{where}.msg_period"),
-            ))
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
+    classes = _classes(_require(data, "classes", "sweep"))
 
     def _float_list(key):
         raw = _require(data, key, "sweep")
@@ -277,7 +264,7 @@ def parse_sweep(source) -> SweepSpec:
 
     try:
         return SweepSpec(
-            classes=tuple(classes),
+            classes=classes,
             dominant_class=str(_require(data, "dominant_class", "sweep")),
             dominant_share=_number(data.get("dominant_share", 0.75),
                                    "dominant_share"),

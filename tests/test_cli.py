@@ -257,6 +257,28 @@ def test_sweep_rows(tmp_path, scenario, capsys):
     assert all(l.endswith(",") for l in csv_lines[1:])
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("A", "classes[0]: expected an object"),
+    # the entry's own complaint is wrapped once more with its place
+    ({"id": "A", "msg_size": 100.0},
+     "classes[0]: classes[0]: missing required key 'msg_period'"),
+    ({"id": "A", "msg_size": 100.0, "msg_period": 1.0, "bogus": 1},
+     "classes[0]: unknown key(s) 'bogus'"),
+], ids=["not-an-object", "missing-key", "unknown-key"])
+def test_malformed_class_entry_exits_1(tmp_path, scenario, entry, message,
+                                       capsys):
+    # scenario and sweep files share one class-list parser and its messages
+    sweep = write_json(tmp_path / "grid.json", sweep_doc(classes=[entry]))
+    rc = main(["sweep", "--scenario", scenario, "--sweep", sweep,
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+    bad = write_json(tmp_path / "s.json", low_load_doc(classes=[entry]))
+    assert main(["plan", "--scenario", bad, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sweep_deterministic_bytes(tmp_path, scenario):
     sweep = write_json(tmp_path / "grid.json", sweep_doc())
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -1,10 +1,13 @@
 """Exhaustive oracle, branch-and-bound, and greedy heuristic."""
 
+import importlib
+import importlib.util
 import math
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -273,6 +276,29 @@ def test_bnb_lp_keeps_box_within_window_tolerance(cal):
     assert value <= objective_eval(problem, drained) * (1 + 1e-9)
 
 
+def test_bnb_lp_keeps_box_within_downtime_tolerance():
+    # draining s2 (5 sm-mr migrations at 100 s each) takes 500 s of downtime,
+    # above the budget by less than the shared tolerance; the validator
+    # accepts that plan, so the LP of the box holding it must bound its energy
+    cal = load_calibration({"kpi": {"sm-mr": {"1.0": {
+        "delta_d": 100.0, "b_d": 0.0, "delta_m": 1.0, "b_m": 0.0}}}})
+    state = ClusterState(servers=make_servers(2),
+                         initial_counts={"A": (0, 5)}, initial_active=(1, 1))
+    problem = build_problem(
+        state, make_params("sm-mr", td_max=500.0 / (1 + 5e-10)), cal)
+    drained = plan_from_aggregates(problem, (1, 0), {"A": [0, 5]},
+                                   {"A": [5, 0]}, {"A": [0, 0]})
+    assert validate_plan(problem, drained).valid
+    energy = objective_eval(problem, drained)
+    assert energy == pytest.approx(494515.1, rel=1e-9)
+
+    off = bnb._Node(-math.inf, [0, 5, 0, 0, 0, 0, 1, 0],
+                    [0, 5, 5, 0, 0, 0, 1, 0])
+    value, _ = bnb._solve_lp(bnb._context(problem), off)
+    assert value is not None
+    assert value <= energy * (1 + 1e-9)
+
+
 def _scale_problem(cal, total):
     """The acceptance-criterion-8 family at `total` xApps."""
     spec = SweepSpec(classes=tuple(make_class(c) for c in "ABCD"),
@@ -285,8 +311,8 @@ def _scale_problem(cal, total):
 
 
 def _small_search_problem(cal):
-    # takes the off branch for s2, branches on fractional aggregates and
-    # enumerates small boxes
+    # takes the off branch for s2, whose LP is infeasible, and branches on
+    # fractional aggregates until integral LP points close every box
     state = ClusterState(servers=make_servers(2, cpu=16.0),
                          initial_counts={"B": (1, 4)}, initial_active=(1, 1),
                          pending_deploys={"B": 1})
@@ -295,7 +321,8 @@ def _small_search_problem(cal):
 
 def _sdl_search_problem(cal):
     # under sdl the LP carries the tm and ti indicator columns and the
-    # engine's overhead share in its capacity rows
+    # engine's overhead share in its capacity rows; the search ends in boxes
+    # with every column fixed, each judged as its one point
     state = ClusterState(servers=make_servers(3, cpu=16.0),
                          initial_counts={"D": (1, 0, 2), "A": (0, 4, 0)},
                          initial_active=(1, 1, 1), pending_deploys={"D": 1})
@@ -306,9 +333,9 @@ def _sdl_search_problem(cal):
 # the LP shows here.  A change that alters the search on purpose updates
 # these figures and records the new ones in CHANGES.md.
 PINNED = [
-    (_small_search_problem, 1219896.312, 17),
+    (_small_search_problem, 1219896.312, 21),
     (lambda cal: _scale_problem(cal, 116), 3277123.1532, 553),
-    (_sdl_search_problem, 1322720.913, 113),
+    (_sdl_search_problem, 1322720.913, 263),
 ]
 PINNED_IDS = ["small", "scale-116", "sdl"]
 
@@ -446,6 +473,20 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_tracer_hooks_resolve():
+    # perfbench's traced run wraps these names; one that is gone turns the
+    # metrics of its whole layer null
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.HOOKS
+    missing = [(module, attr) for module, attr, _, _ in tracing.HOOKS
+               if not callable(getattr(importlib.import_module(module), attr,
+                                       None))]
+    assert missing == []
 
 
 # randomized cross-checks
