@@ -9,25 +9,19 @@ Incumbents are only ever accepted after exact re-evaluation through the
 energy model and the full plan validator, so the reported objective is
 always a true, feasible plan energy.
 
-A node is a box given by one bound vector pair `lo`, `hi` over
-(o | m | d | mu): the first A = 3*K*S entries are the aggregate LP columns in
-LP order (outgoing, incoming, deployed; class-major, then server), the last S
-the activations.  The LP's aggregate column bounds are `lo[:A]`, `hi[:A]`;
-an integral LP point and a fixed box (`lo == hi`) split back into
-(mu, outgoing, incoming, deploys) the same way.
-
-The node LP is built once per solve (`_NodeLP`: cost vector, one CSC
-matrix, row sides); per node `_solve_lp` writes only the column bounds, the
-envelope coefficients and the envelope and downtime right-hand sides.  Every
-node LP goes through the module-level name `linprog`, looked up at each call.
-Each solve keeps one live HiGHS model, through scipy's bundled binding: the
-first LP loads the skeleton (presolve on, dual simplex, as
-`scipy.optimize.linprog(method="highs")` sets); every later LP pushes those
-node-dependent values and re-solves from the previous basis.  A point counts
-as optimal only if it passes linprog's residual check.  A warm start can
-land on a different optimal vertex than a cold solve of the same LP, so the
-LP value does not depend on the nodes solved before (beyond rounding), but
-the branching can.
+Each solve builds one `_Solve`, which holds the problem's constants, the
+column layout and the node LP; a node is a box `lo`, `hi` over its node
+vector (o | m | d | mu).  Per node `_solve_lp` writes only the column
+bounds, the envelope coefficients and the envelope and downtime right-hand
+sides.  Every node LP goes through the module-level name `linprog`, looked
+up at each call.  Each solve keeps one live HiGHS model, through scipy's
+bundled binding: the first LP loads the skeleton (presolve on, dual simplex,
+as `scipy.optimize.linprog(method="highs")` sets); every later LP pushes
+those node-dependent values and re-solves from the previous basis.  A point
+counts as optimal only if it passes linprog's residual check.  A warm start
+can land on a different optimal vertex than a cold solve of the same LP, so
+the LP value does not depend on the nodes solved before (beyond rounding),
+but the branching can.
 
 Every node, the root included, takes the same step: pop, LP, candidate,
 branch.  Only an LP proven infeasible closes a node.  A failed LP (iteration
@@ -79,8 +73,7 @@ _INT_TOL = 1e-6
 class _Node:
     """A box of the search space plus the best bound proven for it.
 
-    `lo` and `hi` bound the vector (o | m | d | mu): its first 3*K*S entries
-    are the aggregate LP columns in LP order, the last S the activations.
+    `lo` and `hi` bound the node vector (o | m | d | mu) of `_Solve`.
     """
 
     __slots__ = ("bound", "lo", "hi")
@@ -94,82 +87,91 @@ class _Node:
         return _Node(self.bound, list(self.lo), list(self.hi))
 
 
-def _context(problem: SalProblem):
-    """Constant data shared by every node of one solve."""
-    classes = problem.classes
-    K, S = len(classes), problem.n_servers
-    co = problem.coeffs
+class _Solve:
+    """One solve: the problem's constants, the column layout and the node LP.
 
-    n0 = [[problem.staged[cls][s] for s in range(S)] for cls in classes]
-    pend = [problem.staged[cls][S] for cls in classes]
-    pool = [sum(row) for row in n0]
-    ctx = {
-        "problem": problem, "co": co, "classes": classes, "K": K, "S": S,
-        "A": 3 * K * S, "n0": n0, "pend": pend, "pool": pool,
-        "n_tot": [pool[k] + pend[k] for k in range(K)],
-        "use_tm": co.kpi["b_m"] > 0 and any(pool),
-        "use_ti": co.inst["b_m"] > 0 and any(pend),
-    }
-    ctx["lp"] = _node_lp(ctx)
-    return ctx
+    Constants: K classes, S servers, `n0[k][s]` xApps of class k staged on
+    server s, `pend[k]` pending deploys, `pool[k]` staged in all, `n_tot[k]`
+    both, and whether the `tm` and `ti` indicator columns are in use.
 
+    Layout: the LP columns are, in order, the aggregates `o`, `m`, `d`
+    (outgoing, incoming, deployed; (K, S) index arrays), per server the
+    window `w`, the power `p`, their product `z` and the activation `mu`
+    (S each), then the indicators `tm` and `ti` ((K, S) each, no rows when
+    not in use).  A node vector (o | m | d | mu) holds the A aggregates at
+    their LP columns and the S activations after them: `node_cols` maps
+    each entry to its LP column, and `at[s]` lists server s's entries (its
+    o, m and d per class, then its activation).
 
-class _NodeLP:
-    """The node LP of one solve: minimise c.x subject to lhs <= M x <= rhs
-    and lb <= x <= ub, with M held as one CSC matrix (indptr, indices, data).
-
-    Columns: the A aggregate columns (o | m | d), then per server the window
-    W, the power P, their product z and the activation mu (S each), then the
-    `tm` and `ti` indicator columns when in use.  Rows: the m_ub inequality
-    rows (lhs -inf), then the equality rows (lhs == rhs).  Only the column
-    bounds, the 6*S McCormick coefficients data[env] (at row env_at[0],
-    column env_at[1]) and the right-hand sides rhs[node_rows] (2*S envelope
-    rows, then the S downtime rows outside sdl) depend on the node;
-    `_solve_lp` writes those in place before each solve, and `linprog`
-    pushes them into `highs`, the solve's live HiGHS model.
+    LP: minimise c.x subject to lhs <= M x <= rhs and lb <= x <= ub, with M
+    held as one CSC matrix (indptr, indices, data).  Rows: the m_ub
+    inequality rows (lhs -inf), then the equality rows (lhs == rhs).  Only
+    the column bounds, the 6*S McCormick coefficients data[env] (at row
+    env_at[0], column env_at[1]) and the right-hand sides rhs[node_rows]
+    (2*S envelope rows, then the S downtime rows outside sdl) depend on the
+    node; `_solve_lp` writes those in place before each solve, and
+    `linprog` pushes them into `highs`, the solve's live HiGHS model.
     """
 
-    __slots__ = ("c", "indptr", "indices", "data", "lhs", "rhs", "lb", "ub",
+    __slots__ = ("problem", "co", "K", "S", "A", "n0", "pend", "pool",
+                 "n_tot", "use_tm", "use_ti", "o", "m", "d", "w", "p", "z",
+                 "mu", "tm", "ti", "node_cols", "at",
+                 "c", "indptr", "indices", "data", "lhs", "rhs", "lb", "ub",
                  "m_ub", "env", "env_at", "node_rows", "highs")
 
 
+def _context(problem: SalProblem):
+    """The `_Solve` of `problem`, built once per solve."""
+    ctx = _Solve()
+    classes, co = problem.classes, problem.coeffs
+    ctx.problem, ctx.co = problem, co
+    ctx.K, ctx.S = K, S = len(classes), problem.n_servers
+    ctx.A = 3 * K * S
+    ctx.n0 = [[problem.staged[cls][s] for s in range(S)] for cls in classes]
+    ctx.pend = [problem.staged[cls][S] for cls in classes]
+    ctx.pool = [sum(row) for row in ctx.n0]
+    ctx.n_tot = [p + q for p, q in zip(ctx.pool, ctx.pend)]
+    ctx.use_tm = co.kpi["b_m"] > 0 and any(ctx.pool)
+    ctx.use_ti = co.inst["b_m"] > 0 and any(ctx.pend)
+
+    # the column layout (see `_Solve`): blocks of rows of S columns each
+    ends = list(itertools.accumulate(
+        (K, K, K, 1, 1, 1, 1, K * ctx.use_tm, K * ctx.use_ti)))
+    cols = np.arange(ends[-1] * S).reshape(-1, S)
+    (ctx.o, ctx.m, ctx.d, (ctx.w,), (ctx.p,), (ctx.z,), (ctx.mu,), ctx.tm,
+     ctx.ti) = (cols[a:b] for a, b in zip([0] + ends, ends))
+    ctx.node_cols = np.concatenate(
+        (ctx.o.ravel(), ctx.m.ravel(), ctx.d.ravel(), ctx.mu))
+    ctx.at = tuple(zip(ctx.o.T.tolist(), ctx.m.T.tolist(), ctx.d.T.tolist(),
+                       range(ctx.A, ctx.A + S)))
+    ctx.c = np.zeros(cols.size)
+    _node_lp(ctx)
+    return ctx
+
+
 def _node_lp(ctx):
-    """Build the node LP skeleton once per solve (see `_NodeLP`)."""
-    problem, co, params = ctx["problem"], ctx["co"], ctx["problem"].params
-    K, S, A = ctx["K"], ctx["S"], ctx["A"]
-    n0, pend, pool, n_tot = ctx["n0"], ctx["pend"], ctx["pool"], ctx["n_tot"]
-    use_tm, use_ti = ctx["use_tm"], ctx["use_ti"]
-    servers = problem.state.servers
+    """Build the node LP skeleton of `ctx` (see `_Solve`)."""
+    co, params = ctx.co, ctx.problem.params
+    servers = ctx.problem.state.servers
     sdl = params.strategy is StrategyId.SDL
     # the engine's CPU overhead is left to exact checks
     share = co.overhead if sdl else dict.fromkeys(RESOURCES, 0.0)
     p_e, q_e = co.loads["E"], co.idle["E"]
-    KS = K * S
-    nv = A + 4 * S + KS * (use_tm + use_ti)
-
-    def i_o(k, s): return k * S + s
-    def i_m(k, s): return KS + k * S + s
-    def i_d(k, s): return 2 * KS + k * S + s
-    def i_w(s): return A + s
-    def i_p(s): return A + S + s
-    def i_z(s): return A + 2 * S + s
-    def i_mu(s): return A + 3 * S + s
-    def i_tm(k, s): return A + 4 * S + k * S + s
-    def i_ti(k, s): return A + 4 * S + KS * use_tm + k * S + s
-
-    c = np.zeros(nv)
-    for s in range(S):
-        c[i_w(s)] = q_e + sum(p_e[k] * n0[k][s] for k in range(K))
-        c[i_p(s)] = params.slot_length
-        c[i_z(s)] = -1.0
-        c[i_mu(s)] += co.backend_energy
+    K, S, n0, pend = ctx.K, ctx.S, ctx.n0, ctx.pend
+    # the layout as lists of ints: the skeleton is written entry by entry
+    o, m, d, tm, ti, w, p, z, mu = (cols.tolist() for cols in (
+        ctx.o, ctx.m, ctx.d, ctx.tm, ctx.ti, ctx.w, ctx.p, ctx.z, ctx.mu))
+    c = ctx.c
+    nv = len(c)
+    c[w] = [q_e + sum(p_e[k] * n0[k][s] for k in range(K)) for s in range(S)]
+    c[p] = params.slot_length
+    c[z] = -1.0
+    c[mu] += co.backend_energy
     e_tau_o = co.engine_power * co.kpi["delta_m"]
-    for k in range(K):
-        for s in range(S):
-            if e_tau_o:
-                c[i_o(k, s)] += e_tau_o
-            if use_tm and co.engine_power:
-                c[i_tm(k, s)] += co.engine_power * co.kpi["b_m"]
+    if e_tau_o:
+        c[ctx.o] += e_tau_o
+    if ctx.use_tm and co.engine_power:
+        c[ctx.tm] += co.engine_power * co.kpi["b_m"]
 
     rows, rhs = [], []
 
@@ -184,89 +186,85 @@ def _node_lp(ctx):
     nan = math.nan  # a node-dependent entry, written per node
     for k in range(K):
         for s in range(S):
-            if use_tm and n0[k][s] > 0:
-                row(0.0, (i_o(k, s), 1.0), (i_tm(k, s), -float(n0[k][s])))
-            if use_ti and pend[k] > 0:
-                row(0.0, (i_d(k, s), 1.0), (i_ti(k, s), -float(pend[k])))
+            if ctx.use_tm and n0[k][s] > 0:
+                row(0.0, (o[k][s], 1.0), (tm[k][s], -float(n0[k][s])))
+            if ctx.use_ti and pend[k] > 0:
+                row(0.0, (d[k][s], 1.0), (ti[k][s], -float(pend[k])))
             # hosting only on powered servers
-            row(-float(n0[k][s]), (i_o(k, s), -1.0), (i_m(k, s), 1.0),
-                (i_d(k, s), 1.0), (i_mu(s), -float(n_tot[k])))
+            row(-float(n0[k][s]), (o[k][s], -1.0), (m[k][s], 1.0),
+                (d[k][s], 1.0), (mu[s], -float(ctx.n_tot[k])))
             # a migrating unit cannot land back on its own source
-            if pool[k] > 0:
-                row(0.0, (i_o(k, s), 1.0), (i_m(k, s), 1.0),
-                    *((i_o(k, s2), -1.0) for s2 in range(S)))
+            if ctx.pool[k] > 0:
+                row(0.0, (o[k][s], 1.0), (m[k][s], 1.0),
+                    *((j, -1.0) for j in o[k]))
     env, env_rows, down_rows = [], [], []
-    for s in range(S):
-        aggs = [(k, i_o(k, s), i_m(k, s), i_d(k, s)) for k in range(K)]
+    for s, (o_s, m_s, d_s, _) in enumerate(ctx.at):
+        aggs = list(zip(o_s, m_s, d_s))
         if servers[s].optional_flag:
-            row(float(sum(n0[k][s] for k in range(K))), (i_mu(s), 1.0),
-                *(e for _, o, m, d in aggs
-                  for e in ((o, 1.0), (m, -1.0), (d, -1.0))))
+            row(float(sum(n0[k][s] for k in range(K))), (mu[s], 1.0),
+                *(e for i, j, l in aggs
+                  for e in ((i, 1.0), (j, -1.0), (l, -1.0))))
         for ri, r in enumerate(RESOURCES):
-            p = co.loads[r]
+            load = co.loads[r]
             cap = (servers[s].cpu_cap, servers[s].mem_cap,
                    servers[s].disk_cap)[ri]
-            row(0.0 - sum(p[k] * n0[k][s] for k in range(K)),
-                (i_mu(s), co.idle[r] + share[r] - cap),
-                *(e for k, o, m, d in aggs
-                  for e in ((o, -p[k]), (m, p[k]), (d, p[k]))))
+            row(0.0 - sum(load[k] * n0[k][s] for k in range(K)),
+                (mu[s], co.idle[r] + share[r] - cap),
+                *(e for k, (i, j, l) in enumerate(aggs)
+                  for e in ((i, -load[k]), (j, load[k]), (l, load[k]))))
         if not sdl:
             down_rows.append(len(rows))
-            row(nan, *((o, co.kpi["delta_d"]) for _, o, _, _ in aggs))
+            row(nan, *((i, co.kpi["delta_d"]) for i in o_s))
         # McCormick envelope for z = W * P
-        w, p, z = i_w(s), i_p(s), i_z(s)
         first = len(rows)
-        row(nan, (z, 1.0), (p, nan), (w, nan))
-        row(0.0, (z, 1.0), (w, nan))
-        row(0.0, (w, nan), (z, -1.0))
-        row(nan, (p, nan), (w, nan), (z, -1.0))
-        env += [(first, p), (first, w), (first + 1, w), (first + 2, w),
-                (first + 3, p), (first + 3, w)]
+        row(nan, (z[s], 1.0), (p[s], nan), (w[s], nan))
+        row(0.0, (z[s], 1.0), (w[s], nan))
+        row(0.0, (w[s], nan), (z[s], -1.0))
+        row(nan, (p[s], nan), (w[s], nan), (z[s], -1.0))
+        env += [(first, p[s]), (first, w[s]), (first + 1, w[s]),
+                (first + 2, w[s]), (first + 3, p[s]), (first + 3, w[s])]
         env_rows += [first, first + 3]
     m_ub = len(rows)
     for k in range(K):
-        row(0.0, *((i_o(k, s), 1.0) for s in range(S)),
-            *((i_m(k, s), -1.0) for s in range(S)))
-        row(float(pend[k]), *((i_d(k, s), 1.0) for s in range(S)))
+        row(0.0, *((j, 1.0) for j in o[k]), *((j, -1.0) for j in m[k]))
+        row(float(pend[k]), *((j, 1.0) for j in d[k]))
     dm, bm = co.kpi["delta_m"], co.kpi["b_m"]
     dt, bt = co.inst["delta_m"], co.inst["b_m"]
     for s in range(S):
-        row(0.0, (i_w(s), 1.0),
+        row(0.0, (w[s], 1.0),
             *(e for k in range(K) for e in (
-                ((i_o(k, s), -dm), (i_d(k, s), -dt))
-                + (((i_tm(k, s), -bm),) if use_tm else ())
-                + (((i_ti(k, s), -bt),) if use_ti else ()))))
-        row(sum(p_e[k] * n0[k][s] for k in range(K)), (i_p(s), 1.0),
-            (i_mu(s), -q_e),
+                ((o[k][s], -dm), (d[k][s], -dt))
+                + (((tm[k][s], -bm),) if ctx.use_tm else ())
+                + (((ti[k][s], -bt),) if ctx.use_ti else ()))))
+        row(sum(p_e[k] * n0[k][s] for k in range(K)), (p[s], 1.0),
+            (mu[s], -q_e),
             *(e for k in range(K) for e in (
-                (i_o(k, s), p_e[k]), (i_m(k, s), -p_e[k]),
-                (i_d(k, s), -p_e[k]))))
+                (o[k][s], p_e[k]), (m[k][s], -p_e[k]), (d[k][s], -p_e[k]))))
 
-    lp = _NodeLP()
     # column-major nonzeros: the CSC form of the stacked rows
     dense_t = np.array(rows).T
-    cols, lp.indices = np.nonzero(dense_t)
-    lp.data = dense_t[cols, lp.indices]
-    lp.indices = lp.indices.astype(np.int32)
-    lp.indptr = np.searchsorted(cols, np.arange(nv + 1)).astype(np.int32)
-    lp.env = np.array([lp.indptr[j] + np.searchsorted(
-        lp.indices[lp.indptr[j]:lp.indptr[j + 1]], i) for i, j in env])
-    lp.env_at = np.array(env).T
-    lp.node_rows = np.array(env_rows + down_rows)
-    lp.c, lp.m_ub, lp.highs = c, m_ub, None
-    lp.rhs = np.array(rhs)
-    lp.lhs = np.concatenate((np.full(m_ub, -np.inf), lp.rhs[m_ub:]))
-    lp.lb, lp.ub = np.zeros(nv), np.zeros(nv)
-    return lp
+    cols, indices = np.nonzero(dense_t)
+    ctx.data = dense_t[cols, indices]
+    ctx.indices = indices.astype(np.int32)
+    ctx.indptr = np.searchsorted(cols, np.arange(nv + 1)).astype(np.int32)
+    ctx.env = np.array([ctx.indptr[j] + np.searchsorted(
+        ctx.indices[ctx.indptr[j]:ctx.indptr[j + 1]], i) for i, j in env])
+    ctx.env_at = np.array(env).T
+    ctx.node_rows = np.array(env_rows + down_rows)
+    ctx.m_ub, ctx.highs = m_ub, None
+    ctx.rhs = np.array(rhs)
+    ctx.lhs = np.concatenate((np.full(m_ub, -np.inf), ctx.rhs[m_ub:]))
+    ctx.lb, ctx.ub = np.zeros(nv), np.zeros(nv)
 
 
 def _root_node(ctx):
-    K, S = ctx["K"], ctx["S"]
-    servers = ctx["problem"].state.servers
-    lo = [0] * ctx["A"] + [0 if srv.optional_flag else 1 for srv in servers]
-    hi = ([ctx["n0"][k][s] for k in range(K) for s in range(S)]
-          + [ctx["pool"][k] for k in range(K) for s in range(S)]
-          + [ctx["pend"][k] for k in range(K) for s in range(S)] + [1] * S)
+    servers = ctx.problem.state.servers
+    lo = [0] * ctx.node_cols.size
+    hi = list(lo)
+    for s, (o_s, m_s, d_s, a) in enumerate(ctx.at):
+        lo[a], hi[a] = 0 if servers[s].optional_flag else 1, 1
+        for k, (o, m, d) in enumerate(zip(o_s, m_s, d_s)):
+            hi[o], hi[m], hi[d] = ctx.n0[k][s], ctx.pool[k], ctx.pend[k]
     return _Node(-math.inf, lo, hi)
 
 
@@ -274,49 +272,39 @@ def _solve_lp(ctx, node):
     """LP relaxation of the node: (value, x); (None, None) when the box is
     proven infeasible, and (-inf, None) when the LP failed and proves
     nothing."""
-    K, S, A = ctx["K"], ctx["S"], ctx["A"]
-    n0, n_tot = ctx["n0"], ctx["n_tot"]
-    co, problem = ctx["co"], ctx["problem"]
-    p_e, q_e = co.loads["E"], co.idle["E"]
+    problem, n0, n_tot = ctx.problem, ctx.n0, ctx.n_tot
+    p_e, q_e = ctx.co.loads["E"], ctx.co.idle["E"]
     slot = problem.params.slot_length
-    KS = K * S
     lo, hi = node.lo, node.hi
-    w_hi = np.zeros(S)
-    p_lo = np.zeros(S)
-    p_hi = np.zeros(S)
-    for s in range(S):
+    w_hi, p_lo, p_hi = np.zeros((3, ctx.S))
+    for s, (o_s, m_s, d_s, a) in enumerate(ctx.at):
+        o_lo, o_hi = [lo[i] for i in o_s], [hi[i] for i in o_s]
+        d_lo, d_hi = [lo[i] for i in d_s], [hi[i] for i in d_s]
         # the lowest and highest window in the box, at its two corners
-        if exceeds(source_window(problem, lo[s:KS:S], lo[2 * KS + s:A:S]),
-                   slot):
+        if exceeds(source_window(problem, o_lo, d_lo), slot):
             return None, None  # every point in the box blows the slot
-        w_hi[s] = min(allowance(slot), source_window(problem, hi[s:KS:S],
-                                                     hi[2 * KS + s:A:S]))
-        pl = q_e * lo[A + s]
-        ph = q_e * hi[A + s]
-        for k in range(K):
-            i = k * S + s
-            h_lo = max(0, n0[k][s] - hi[i]) + lo[KS + i] + lo[2 * KS + i]
-            h_hi = min(n0[k][s] - lo[i] + hi[KS + i] + hi[2 * KS + i],
-                       n_tot[k])
+        w_hi[s] = min(allowance(slot), source_window(problem, o_hi, d_hi))
+        pl = q_e * lo[a]
+        ph = q_e * hi[a]
+        for k, m in enumerate(m_s):
+            h_lo = max(0, n0[k][s] - o_hi[k]) + lo[m] + d_lo[k]
+            h_hi = min(n0[k][s] - o_lo[k] + hi[m] + d_hi[k], n_tot[k])
             pl += p_e[k] * h_lo
             ph += p_e[k] * h_hi
         p_lo[s] = min(pl, ph)
         p_hi[s] = ph
 
-    lp = ctx["lp"]
-    lb, ub = lp.lb, lp.ub
-    lb[:A], ub[:A] = lo[:A], hi[:A]
-    ub[A:A + S] = w_hi  # W, P, z, mu
-    lb[A + S:A + 2 * S], ub[A + S:A + 2 * S] = p_lo, p_hi
-    ub[A + 2 * S:A + 3 * S] = w_hi * p_hi
-    lb[A + 3 * S:A + 4 * S], ub[A + 3 * S:A + 4 * S] = lo[A:], hi[A:]
-    base = A + 4 * S  # the tm, then the ti indicators
-    for use, first in ((ctx["use_tm"], 0), (ctx["use_ti"], 2 * KS)):
+    lb, ub = ctx.lb, ctx.ub
+    lb[ctx.node_cols], ub[ctx.node_cols] = lo, hi
+    ub[ctx.w] = w_hi
+    lb[ctx.p], ub[ctx.p] = p_lo, p_hi
+    ub[ctx.z] = w_hi * p_hi
+    # an indicator must be on when its aggregate's lo > 0, may be when hi > 0
+    for use, ind, agg in ((ctx.use_tm, ctx.tm, ctx.o),
+                          (ctx.use_ti, ctx.ti, ctx.d)):
         if use:
-            lb[base:base + KS] = np.greater(lo[first:first + KS], 0)
-            ub[base:base + KS] = np.not_equal(hi[first:first + KS], 0)
-            base += KS
-    lp.data[lp.env] = np.column_stack(
+            lb[ind], ub[ind] = lb[agg] > 0, ub[agg] != 0
+    ctx.data[ctx.env] = np.column_stack(
         (-w_hi, -p_lo, -p_hi, p_lo, w_hi, p_hi)).ravel()
     rhs = [np.column_stack((-w_hi * p_lo, w_hi * p_hi)).ravel()]
     if problem.params.strategy is not StrategyId.SDL:
@@ -324,12 +312,12 @@ def _solve_lp(ctx, node):
         # downtime, and the validator grants T up to allowance(T), so
         # sum_k delta_d * o[k] <= allowance(T) - b_d * #{k : o[k] > 0}:
         # for b_d < 0 count every class that may leave, else drop the term
-        may_leave = np.count_nonzero(np.reshape(hi[:KS], (K, S)), axis=0)
+        may_leave = np.count_nonzero(ub[ctx.o], axis=0)
         rhs.append(allowance(problem.params.max_sm_downtime)
-                   - min(co.kpi["b_d"], 0.0) * may_leave)
-    lp.rhs[lp.node_rows] = np.concatenate(rhs)
+                   - min(ctx.co.kpi["b_d"], 0.0) * may_leave)
+    ctx.rhs[ctx.node_rows] = np.concatenate(rhs)
 
-    res = linprog(lp)
+    res = linprog(ctx)
     if res.status == 2:
         return None, None
     if not res.success:
@@ -340,7 +328,7 @@ def _solve_lp(ctx, node):
 # `linprog` is the one entry of every node LP.  `_solve_lp` looks the name up
 # at each call, so a caller can wrap it.
 def linprog(lp):
-    """Solve the node LP `lp` (a `_NodeLP`) on its live HiGHS model.
+    """Solve the node LP of `lp` (a `_Solve`) on its live HiGHS model.
 
     The first call loads `lp` into a new HiGHS instance, held in `lp.highs`;
     each later call pushes the column bounds, the envelope coefficients and
@@ -421,7 +409,7 @@ def _load(core, options, lp):
 
 def _try_candidate(ctx, mu, outgoing, incoming, deploys):
     """Exact evaluation of an aggregate assignment; (plan, energy) or None."""
-    problem = ctx["problem"]
+    problem = ctx.problem
     try:
         plan = plan_from_aggregates(problem, mu, outgoing, incoming, deploys)
     except ValueError:
@@ -437,25 +425,22 @@ def _try_candidate(ctx, mu, outgoing, incoming, deploys):
 
 def _split(ctx, vals):
     """(mu, outgoing, incoming, deploys) of a point of the node vector."""
-    S, KS = ctx["S"], ctx["K"] * ctx["S"]
 
-    def per_class(base):
-        return {cls: vals[base + k * S:base + (k + 1) * S]
-                for k, cls in enumerate(ctx["classes"])}
+    def per_class(cols):
+        return {cls: [vals[i] for i in row]
+                for cls, row in zip(ctx.problem.classes, cols.tolist())}
 
-    return tuple(vals[3 * KS:]), per_class(0), per_class(KS), per_class(2 * KS)
+    return (tuple(vals[a] for *_, a in ctx.at), per_class(ctx.o),
+            per_class(ctx.m), per_class(ctx.d))
 
 
 def _extract_integral(ctx, x):
     """Round an integral LP point into aggregate dicts, or None."""
-    mu0 = ctx["A"] + 3 * ctx["S"]
-    vals = []
-    for v in itertools.chain(x[:ctx["A"]], x[mu0:mu0 + ctx["S"]]):
-        r = round(v)
-        if abs(v - r) > _INT_TOL:
-            return None
-        vals.append(int(r))
-    return _split(ctx, vals)
+    vals = x[ctx.node_cols]
+    ints = np.round(vals)
+    if np.any(np.abs(vals - ints) > _INT_TOL):
+        return None
+    return _split(ctx, ints.astype(int).tolist())
 
 
 def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
@@ -477,7 +462,6 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
             )
 
     ctx = _context(problem)
-    K, S, A = ctx["K"], ctx["S"], ctx["A"]
     slack = lambda inc: 1e-9 * max(1.0, abs(inc))
 
     incumbent, inc_obj = None, math.inf
@@ -550,25 +534,25 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
                     continue
 
         # activation branching first; the on-child is explored second
-        s = next((s for s in range(S) if lo[A + s] < hi[A + s]), None)
+        s = next((s for s, (*_, a) in enumerate(ctx.at) if lo[a] < hi[a]),
+                 None)
         if s is not None:
+            o_s, m_s, d_s, a = ctx.at[s]
             on = node.child()
-            on.lo[A + s] = 1
+            on.lo[a] = 1
             stack.append(on)
             if drain_ok(problem, s):
                 off = node.child()
-                off.hi[A + s] = 0
-                for k in range(K):
-                    i = k * S + s
-                    for j, v in ((i, ctx["n0"][k][s]), (K * S + i, 0),
-                                 (2 * K * S + i, 0)):
-                        off.lo[j] = off.hi[j] = v
+                off.hi[a] = 0
+                for k, (o, m, d) in enumerate(zip(o_s, m_s, d_s)):
+                    off.lo[o] = off.hi[o] = ctx.n0[k][s]
+                    off.lo[m] = off.hi[m] = off.lo[d] = off.hi[d] = 0
                 stack.append(off)
             continue
 
         # first fractional open aggregate, else the first open one; without
         # an LP point, the first open one split at its midpoint
-        open_cols = [i for i in range(A) if lo[i] < hi[i]]
+        open_cols = [i for i in range(ctx.A) if lo[i] < hi[i]]
         if not open_cols:
             continue
         if node_x is None:

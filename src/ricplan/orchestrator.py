@@ -10,6 +10,7 @@ ratios across populations).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import sys
 import time
 from dataclasses import dataclass
@@ -316,6 +317,25 @@ def _row(strategy, cls_id, rho, nu, n_total, feasible, gain=None, ratio=None,
     }
 
 
+def _grid(spec: SweepSpec, params_template: ScenarioParams):
+    """Every point of the sweep grid in CSV order, as (point, params,
+    counts): `point` holds the leading fields of its `_row`."""
+    for strategy, rho, nu in itertools.product(
+            spec.strategies, spec.rho_list_mb, spec.nu_list_s):
+        params = _sweep_params(params_template, strategy, rho, nu)
+        for n_total in spec.count_range:
+            yield ((strategy, spec.dominant_class, rho, nu, n_total), params,
+                   mix_counts(spec, n_total))
+
+
+def _uncalibrated(point, exc: CalibrationLookupError):
+    """The blank row of a grid point without calibration, noted on stderr."""
+    strategy, _, rho, nu, _ = point
+    print(f"note: no calibration for {strategy} at rho={rho} MB, nu={nu} s "
+          f"({exc}); skipping", file=sys.stderr)
+    return _row(*point, None)
+
+
 def feasibility_sweep(spec: SweepSpec, params_template: ScenarioParams,
                       cal: CalibrationSet):
     """How many xApps each (strategy, state size, period) can carry.
@@ -328,36 +348,25 @@ def feasibility_sweep(spec: SweepSpec, params_template: ScenarioParams,
     Returns (rows, summary) where summary maps (strategy, rho_mb, nu_s) to
     the largest feasible population, or None.
     """
-    rows, summary = [], {}
-    for strategy in spec.strategies:
+    rows = []
+    summary = dict.fromkeys(itertools.product(
+        spec.strategies, spec.rho_list_mb, spec.nu_list_s))
+    for point, params, counts in _grid(spec, params_template):
+        strategy, _, rho, nu, n_total = point
         sid = StrategyId(strategy)
-        for rho in spec.rho_list_mb:
-            for nu in spec.nu_list_s:
-                params = _sweep_params(params_template, strategy, rho, nu)
-                best = None
-                for n_total in spec.count_range:
-                    counts = mix_counts(spec, n_total)
-                    try:
-                        if sid is StrategyId.SDL:
-                            ok = model.sdl_feasible(counts, params, cal).feasible
-                        else:
-                            t_d = model.sm_downtime(sid, n_total, cal, rho)
-                            ok = not model.exceeds(t_d,
-                                                   params.max_sm_downtime)
-                    except CalibrationLookupError as exc:
-                        print(
-                            f"note: no calibration for {strategy} at "
-                            f"rho={rho} MB, nu={nu} s ({exc}); skipping",
-                            file=sys.stderr,
-                        )
-                        rows.append(_row(strategy, spec.dominant_class, rho,
-                                         nu, n_total, None))
-                        continue
-                    rows.append(_row(strategy, spec.dominant_class, rho, nu,
-                                     n_total, ok))
-                    if ok and (best is None or n_total > best):
-                        best = n_total
-                summary[(strategy, rho, nu)] = best
+        try:
+            if sid is StrategyId.SDL:
+                ok = model.sdl_feasible(counts, params, cal).feasible
+            else:
+                t_d = model.sm_downtime(sid, n_total, cal, rho)
+                ok = not model.exceeds(t_d, params.max_sm_downtime)
+        except CalibrationLookupError as exc:
+            rows.append(_uncalibrated(point, exc))
+            continue
+        rows.append(_row(*point, ok))
+        best = summary[strategy, rho, nu]
+        if ok and (best is None or n_total > best):
+            summary[strategy, rho, nu] = n_total
     return rows, summary
 
 
@@ -366,35 +375,19 @@ def energy_sweep(spec: SweepSpec, servers: Sequence[ServerSpec],
                  solver: str = "bnb", limits: SolveLimits = None):
     """Realized savings across the grid, starting from a balanced cluster."""
     rows = []
-    for strategy in spec.strategies:
-        for rho in spec.rho_list_mb:
-            for nu in spec.nu_list_s:
-                params = _sweep_params(params_template, strategy, rho, nu)
-                for n_total in spec.count_range:
-                    counts = mix_counts(spec, n_total)
-                    state = balanced_state(spec.classes, servers, counts)
-                    t0 = time.perf_counter()
-                    try:
-                        slot = run_timeslot(state, params, cal, solver, limits)
-                    except CalibrationLookupError as exc:
-                        print(
-                            f"note: no calibration for {strategy} at "
-                            f"rho={rho} MB, nu={nu} s ({exc}); skipping",
-                            file=sys.stderr,
-                        )
-                        rows.append(_row(strategy, spec.dominant_class, rho,
-                                         nu, n_total, None))
-                        continue
-                    elapsed = time.perf_counter() - t0
-                    if slot.plan is None:
-                        rows.append(_row(strategy, spec.dominant_class, rho,
-                                         nu, n_total, False,
-                                         runtime=elapsed))
-                    else:
-                        rows.append(_row(
-                            strategy, spec.dominant_class, rho, nu, n_total,
-                            True, gain=slot.energy_gain,
-                            ratio=slot.activation_ratio,
-                            gap=slot.report.mip_gap, runtime=elapsed,
-                        ))
+    for point, params, counts in _grid(spec, params_template):
+        state = balanced_state(spec.classes, servers, counts)
+        t0 = time.perf_counter()
+        try:
+            slot = run_timeslot(state, params, cal, solver, limits)
+        except CalibrationLookupError as exc:
+            rows.append(_uncalibrated(point, exc))
+            continue
+        elapsed = time.perf_counter() - t0
+        if slot.plan is None:
+            rows.append(_row(*point, False, runtime=elapsed))
+        else:
+            rows.append(_row(*point, True, gain=slot.energy_gain,
+                             ratio=slot.activation_ratio,
+                             gap=slot.report.mip_gap, runtime=elapsed))
     return rows

@@ -98,14 +98,15 @@ def _classes(raw) -> Tuple[XAppClass, ...]:
         if not isinstance(entry, Mapping):
             raise ScenarioError(f"{where}: expected an object")
         _check_keys(entry, ("id", "msg_size", "msg_period"), where)
+        fields = dict(
+            id=str(_require(entry, "id", where)),
+            msg_size=_number(_require(entry, "msg_size", where),
+                             f"{where}.msg_size"),
+            msg_period=_number(_require(entry, "msg_period", where),
+                               f"{where}.msg_period"),
+        )
         try:
-            classes.append(XAppClass(
-                id=str(_require(entry, "id", where)),
-                msg_size=_number(_require(entry, "msg_size", where),
-                                 f"{where}.msg_size"),
-                msg_period=_number(_require(entry, "msg_period", where),
-                                   f"{where}.msg_period"),
-            ))
+            classes.append(XAppClass(**fields))
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
     return tuple(classes)
@@ -133,17 +134,18 @@ def parse_scenario(source, strategy_override: Optional[str] = None) -> ScenarioF
             raise ScenarioError(f"{where}: expected an object")
         _check_keys(entry, ("id", "optional", "cpu_cap", "mem_cap",
                             "disk_cap"), where)
+        fields = dict(
+            id=str(_require(entry, "id", where)),
+            optional_flag=bool(entry.get("optional", False)),
+            cpu_cap=_number(_require(entry, "cpu_cap", where),
+                            f"{where}.cpu_cap"),
+            mem_cap=_number(_require(entry, "mem_cap", where),
+                            f"{where}.mem_cap"),
+            disk_cap=_number(_require(entry, "disk_cap", where),
+                             f"{where}.disk_cap"),
+        )
         try:
-            servers.append(ServerSpec(
-                id=str(_require(entry, "id", where)),
-                optional_flag=bool(entry.get("optional", False)),
-                cpu_cap=_number(_require(entry, "cpu_cap", where),
-                                f"{where}.cpu_cap"),
-                mem_cap=_number(_require(entry, "mem_cap", where),
-                                f"{where}.mem_cap"),
-                disk_cap=_number(_require(entry, "disk_cap", where),
-                                 f"{where}.disk_cap"),
-            ))
+            servers.append(ServerSpec(**fields))
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
 

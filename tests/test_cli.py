@@ -259,9 +259,8 @@ def test_sweep_rows(tmp_path, scenario, capsys):
 
 @pytest.mark.parametrize("entry, message", [
     ("A", "classes[0]: expected an object"),
-    # the entry's own complaint is wrapped once more with its place
     ({"id": "A", "msg_size": 100.0},
-     "classes[0]: classes[0]: missing required key 'msg_period'"),
+     "classes[0]: missing required key 'msg_period'"),
     ({"id": "A", "msg_size": 100.0, "msg_period": 1.0, "bogus": 1},
      "classes[0]: unknown key(s) 'bogus'"),
 ], ids=["not-an-object", "missing-key", "unknown-key"])
@@ -277,6 +276,43 @@ def test_malformed_class_entry_exits_1(tmp_path, scenario, entry, message,
     bad = write_json(tmp_path / "s.json", low_load_doc(classes=[entry]))
     assert main(["plan", "--scenario", bad, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _server(**overrides):
+    return {"id": "s1", "optional": False, "cpu_cap": 128.0, "mem_cap": 125.0,
+            "disk_cap": 250.0, **overrides}
+
+
+@pytest.mark.parametrize("entry, message", [
+    (_server(cpu_cap="x"), "servers[0].cpu_cap: expected a number, got 'x'"),
+    ({"id": "s1", "cpu_cap": 128.0, "mem_cap": 125.0},
+     "servers[0]: missing required key 'disk_cap'"),
+    # a complaint of the server itself gets the entry's place once
+    (_server(cpu_cap=0.0), "servers[0]: server s1: capacities must be > 0"),
+], ids=["not-a-number", "missing-key", "zero-capacity"])
+def test_malformed_server_entry_exits_1(tmp_path, entry, message, capsys):
+    doc = low_load_doc()
+    doc["servers"][0] = entry
+    bad = write_json(tmp_path / "s.json", doc)
+    assert main(["plan", "--scenario", bad, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["feasibility", "sweep"])
+def test_uncalibrated_grid_point_is_noted_and_left_blank(tmp_path, scenario,
+                                                         command, capsys):
+    # the shipped calibration has no sm-mr row at 5 MB
+    sweep = write_json(tmp_path / "grid.json",
+                       sweep_doc(rho_list_mb=[1.0, 5.0]))
+    out = tmp_path / "out"
+    assert main([command, "--scenario", scenario, "--sweep", sweep,
+                 "--out", str(out)]) == 0
+    note = ("note: no calibration for sm-mr at rho=5.0 MB, nu=1.0 s (no "
+            "calibration entry for kpi.sm-mr.rho=5.0); skipping\n")
+    assert capsys.readouterr().err == 2 * note
+    lines = (out / f"{command}.csv").read_text().splitlines()
+    assert [l.split(",")[5] for l in lines[1:3]] == ["true", "true"]
+    assert lines[3:] == ["sm-mr,A,5,1,4,,,,,", "sm-mr,A,5,1,10,,,,,"]
 
 
 def test_sweep_deterministic_bytes(tmp_path, scenario):

@@ -351,8 +351,28 @@ def test_bnb_search_is_pinned(cal, make, objective, nodes):
 def test_sdl_pin_puts_indicators_and_share_in_the_lp(cal):
     problem = _sdl_search_problem(cal)
     ctx = bnb._context(problem)
-    assert ctx["use_tm"] and ctx["use_ti"]
+    assert ctx.use_tm and ctx.use_ti
     assert problem.coeffs.overhead["CPU"] > 0
+
+
+def test_solve_layout_names_every_lp_column_once(cal):
+    # the sdl pin carries every block of columns, tm and ti included
+    problem = _sdl_search_problem(cal)
+    ctx = bnb._context(problem)
+    blocks = (ctx.o, ctx.m, ctx.d, ctx.w, ctx.p, ctx.z, ctx.mu, ctx.tm, ctx.ti)
+    cols = np.concatenate([np.ravel(b) for b in blocks])
+    assert cols.tolist() == list(range(len(ctx.c)))
+
+    # the root box: the staged count, the class's pool and its pending
+    # deploys bound outgoing, incoming and deployed on every server
+    S = problem.n_servers
+    hi = bnb._root_node(ctx).hi
+    for k, cls in enumerate(problem.classes):
+        staged = problem.staged[cls]
+        for s in range(S):
+            assert hi[ctx.o[k, s]] == staged[s]
+            assert hi[ctx.m[k, s]] == sum(staged[:S])
+            assert hi[ctx.d[k, s]] == staged[S]
 
 
 def _dense(lp):
