@@ -10,14 +10,15 @@ energy model and the full plan validator, so the reported objective is
 always a true, feasible plan energy.
 
 Each solve builds one `_Solve`, which holds the problem's constants, the
-column layout and the node LP; a node is a box `lo`, `hi` over its node
-vector (o | m | d | mu).  Per node `_solve_lp` writes only the column
-bounds, the envelope coefficients and the envelope and downtime right-hand
-sides.  Every node LP goes through the module-level name `linprog`, looked
-up at each call.  Each solve keeps one live HiGHS model, through scipy's
-bundled binding: the first LP loads the skeleton (presolve on, dual simplex,
-as `scipy.optimize.linprog(method="highs")` sets); every later LP pushes
-those node-dependent values and re-solves from the previous basis.  A point
+column layout and the node LP, its matrix written row by row; a node is a
+box `lo`, `hi` over its node vector (o | m | d | mu).  Per node `_solve_lp`
+writes only the column bounds, the envelope coefficients `env` and the
+envelope and downtime right-hand sides.  Every node LP goes through the
+module-level name `linprog`, looked up at each call.  Each solve keeps one
+live HiGHS model, through scipy's bundled binding: the first LP loads the
+skeleton (presolve on, dual simplex, as `scipy.optimize.linprog(method=
+"highs")` sets); every LP, the first included, pushes those node-dependent
+values and solves, from the previous basis after the first.  A point
 counts as optimal only if it passes linprog's residual check.  A warm start
 can land on a different optimal vertex than a cold solve of the same LP, so
 the LP value does not depend on the nodes solved before (beyond rounding),
@@ -103,21 +104,22 @@ class _Solve:
     each entry to its LP column, and `at[s]` lists server s's entries (its
     o, m and d per class, then its activation).
 
-    LP: minimise c.x subject to lhs <= M x <= rhs and lb <= x <= ub, with M
-    held as one CSC matrix (indptr, indices, data).  Rows: the m_ub
-    inequality rows (lhs -inf), then the equality rows (lhs == rhs).  Only
-    the column bounds, the 6*S McCormick coefficients data[env] (at row
-    env_at[0], column env_at[1]) and the right-hand sides rhs[node_rows]
-    (2*S envelope rows, then the S downtime rows outside sdl) depend on the
-    node; `_solve_lp` writes those in place before each solve, and
-    `linprog` pushes them into `highs`, the solve's live HiGHS model.
+    LP: minimise c.x subject to M x <= rhs on the first m_ub rows, M x ==
+    rhs on the rest, and lb <= x <= ub.  M is held row-wise, as HiGHS takes
+    it: row i's columns are index[starts[i]:starts[i + 1]], its coefficients
+    the same slice of data.  Only the column bounds, the 6*S McCormick
+    coefficients env (at row env_at[0], column env_at[1]; data holds a
+    placeholder there) and the right-hand sides rhs[node_rows] (2*S
+    envelope rows, then the S downtime rows outside sdl) depend on the node;
+    `_solve_lp` writes those before each solve, and `linprog` pushes them
+    into `highs`, the solve's live HiGHS model.
     """
 
     __slots__ = ("problem", "co", "K", "S", "A", "n0", "pend", "pool",
                  "n_tot", "use_tm", "use_ti", "o", "m", "d", "w", "p", "z",
                  "mu", "tm", "ti", "node_cols", "at",
-                 "c", "indptr", "indices", "data", "lhs", "rhs", "lb", "ub",
-                 "m_ub", "env", "env_at", "node_rows", "highs")
+                 "c", "starts", "index", "data", "rhs", "lb", "ub", "m_ub",
+                 "env", "env_at", "node_rows", "highs")
 
 
 def _context(problem: SalProblem):
@@ -173,17 +175,20 @@ def _node_lp(ctx):
     if ctx.use_tm and co.engine_power:
         c[ctx.tm] += co.engine_power * co.kpi["b_m"]
 
-    rows, rhs = [], []
+    starts, index, data, rhs = [0], [], [], []
 
     def row(b, *entries):
         """Append the row sum(v * x[j] for j, v in entries) <= or == b."""
-        r = np.zeros(nv)
+        merged = {}
         for j, v in entries:
-            r[j] += v
-        rows.append(r)
+            merged[j] = merged.get(j, 0.0) + v
+        index.extend(j for j, v in merged.items() if v)
+        data.extend(v for v in merged.values() if v)
+        starts.append(len(index))
         rhs.append(b)
 
-    nan = math.nan  # a node-dependent entry, written per node
+    nan = math.nan  # a node-dependent right-hand side, written per node
+    one = 1.0  # placeholder of a node-dependent coefficient, pushed per node
     for k in range(K):
         for s in range(S):
             if ctx.use_tm and n0[k][s] > 0:
@@ -213,18 +218,18 @@ def _node_lp(ctx):
                 *(e for k, (i, j, l) in enumerate(aggs)
                   for e in ((i, -load[k]), (j, load[k]), (l, load[k]))))
         if not sdl:
-            down_rows.append(len(rows))
+            down_rows.append(len(rhs))
             row(nan, *((i, co.kpi["delta_d"]) for i in o_s))
         # McCormick envelope for z = W * P
-        first = len(rows)
-        row(nan, (z[s], 1.0), (p[s], nan), (w[s], nan))
-        row(0.0, (z[s], 1.0), (w[s], nan))
-        row(0.0, (w[s], nan), (z[s], -1.0))
-        row(nan, (p[s], nan), (w[s], nan), (z[s], -1.0))
+        first = len(rhs)
+        row(nan, (z[s], 1.0), (p[s], one), (w[s], one))
+        row(0.0, (z[s], 1.0), (w[s], one))
+        row(0.0, (w[s], one), (z[s], -1.0))
+        row(nan, (p[s], one), (w[s], one), (z[s], -1.0))
         env += [(first, p[s]), (first, w[s]), (first + 1, w[s]),
                 (first + 2, w[s]), (first + 3, p[s]), (first + 3, w[s])]
         env_rows += [first, first + 3]
-    m_ub = len(rows)
+    m_ub = len(rhs)
     for k in range(K):
         row(0.0, *((j, 1.0) for j in o[k]), *((j, -1.0) for j in m[k]))
         row(float(pend[k]), *((j, 1.0) for j in d[k]))
@@ -241,19 +246,10 @@ def _node_lp(ctx):
             *(e for k in range(K) for e in (
                 (o[k][s], p_e[k]), (m[k][s], -p_e[k]), (d[k][s], -p_e[k]))))
 
-    # column-major nonzeros: the CSC form of the stacked rows
-    dense_t = np.array(rows).T
-    cols, indices = np.nonzero(dense_t)
-    ctx.data = dense_t[cols, indices]
-    ctx.indices = indices.astype(np.int32)
-    ctx.indptr = np.searchsorted(cols, np.arange(nv + 1)).astype(np.int32)
-    ctx.env = np.array([ctx.indptr[j] + np.searchsorted(
-        ctx.indices[ctx.indptr[j]:ctx.indptr[j + 1]], i) for i, j in env])
+    ctx.starts, ctx.index, ctx.data = starts, index, data
     ctx.env_at = np.array(env).T
     ctx.node_rows = np.array(env_rows + down_rows)
-    ctx.m_ub, ctx.highs = m_ub, None
-    ctx.rhs = np.array(rhs)
-    ctx.lhs = np.concatenate((np.full(m_ub, -np.inf), ctx.rhs[m_ub:]))
+    ctx.m_ub, ctx.rhs, ctx.highs = m_ub, np.array(rhs), None
     ctx.lb, ctx.ub = np.zeros(nv), np.zeros(nv)
 
 
@@ -304,7 +300,7 @@ def _solve_lp(ctx, node):
                           (ctx.use_ti, ctx.ti, ctx.d)):
         if use:
             lb[ind], ub[ind] = lb[agg] > 0, ub[agg] != 0
-    ctx.data[ctx.env] = np.column_stack(
+    ctx.env = np.column_stack(
         (-w_hi, -p_lo, -p_hi, p_lo, w_hi, p_hi)).ravel()
     rhs = [np.column_stack((-w_hi * p_lo, w_hi * p_hi)).ravel()]
     if problem.params.strategy is not StrategyId.SDL:
@@ -330,33 +326,31 @@ def _solve_lp(ctx, node):
 def linprog(lp):
     """Solve the node LP of `lp` (a `_Solve`) on its live HiGHS model.
 
-    The first call loads `lp` into a new HiGHS instance, held in `lp.highs`;
-    each later call pushes the column bounds, the envelope coefficients and
-    the right-hand sides of `lp.node_rows`, then re-solves from the previous
-    basis.  Returns .status in scipy.optimize.linprog's codes (0 optimal, 1
+    The first call loads the skeleton of `lp` into a new HiGHS instance,
+    held in `lp.highs`.  Every call, the first included, pushes the column
+    bounds, the envelope coefficients `lp.env` and the right-hand sides of
+    `lp.node_rows`, then solves, from the previous basis after the first.
+    Returns .status in scipy.optimize.linprog's codes (0 optimal, 1
     iteration or time limit, 2 infeasible, 3 unbounded, 4 anything else,
     including an optimum whose point fails linprog's residual check),
     .success (status 0), .fun and .x.  scipy is imported on the first call,
     not with the package.
     """
     core, options = _highspy()
-    highs = lp.highs
-    if highs is None:
-        highs = lp.highs = _load(core, options, lp)
-        pushed = highs is not None
-    else:
-        n = len(lp.c)
+    if lp.highs is None:
+        lp.highs = _load(core, options, lp)
+    highs, n = lp.highs, len(lp.c)
+    status, fun, x = 4, None, None
+    if highs is not None:
         statuses = [highs.changeColsBounds(n, np.arange(n, dtype=np.int32),
                                            lp.lb, lp.ub)]
-        statuses += map(highs.changeCoeff, *lp.env_at, lp.data[lp.env])
+        statuses += map(highs.changeCoeff, *lp.env_at, lp.env)
         statuses += map(highs.changeRowBounds, lp.node_rows,
-                        lp.lhs[lp.node_rows], lp.rhs[lp.node_rows])
+                        itertools.repeat(-np.inf), lp.rhs[lp.node_rows])
         # every node pushes all of these, so a failed push spoils one node
-        pushed = core.HighsStatus.kError not in statuses
-    status, fun, x = 4, None, None
-    if pushed:
-        highs.run()
-        status = _STATUS.get(highs.getModelStatus().name, 4)
+        if core.HighsStatus.kError not in statuses:
+            highs.run()
+            status = _STATUS.get(highs.getModelStatus().name, 4)
     if status == 0:
         fun = highs.getInfo().objective_function_value
         sol = highs.getSolution()
@@ -396,10 +390,12 @@ def _load(core, options, lp):
     hlp.num_col_, hlp.num_row_ = n, m
     mat = hlp.a_matrix_
     mat.num_col_, mat.num_row_ = n, m
-    mat.format_ = core.MatrixFormat.kColwise
-    mat.start_, mat.index_, mat.value_ = lp.indptr, lp.indices, lp.data
+    mat.format_ = core.MatrixFormat.kRowwise
+    mat.start_, mat.index_, mat.value_ = lp.starts, lp.index, lp.data
     hlp.col_cost_, hlp.col_lower_, hlp.col_upper_ = lp.c, lp.lb, lp.ub
-    hlp.row_lower_, hlp.row_upper_ = lp.lhs, lp.rhs
+    hlp.row_lower_ = np.concatenate((np.full(lp.m_ub, -np.inf),
+                                     lp.rhs[lp.m_ub:]))
+    hlp.row_upper_ = lp.rhs
     highs = core._Highs()
     highs.passOptions(options)
     if highs.passModel(hlp) == core.HighsStatus.kError:

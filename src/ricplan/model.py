@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .calibration import (
     CalibrationSet,
@@ -235,26 +235,13 @@ class SdlFeasibility:
     defrag_margin: float
 
 
-@dataclass(frozen=True)
-class ResourceUsage:
+class ResourceUsage(NamedTuple):
     cpu: float
     mem: float
     disk: float
 
     def as_tuple(self) -> tuple:
-        return (self.cpu, self.mem, self.disk)
-
-    def __iter__(self):
-        return iter(self.as_tuple())
-
-    def __eq__(self, other):
-        if isinstance(other, ResourceUsage):
-            return self.as_tuple() == other.as_tuple()
-        if isinstance(other, tuple):
-            return self.as_tuple() == other
-        return NotImplemented
-
-    __hash__ = None
+        return tuple(self)
 
 
 @dataclass(frozen=True)

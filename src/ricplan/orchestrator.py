@@ -328,11 +328,15 @@ def _grid(spec: SweepSpec, params_template: ScenarioParams):
                    mix_counts(spec, n_total))
 
 
-def _uncalibrated(point, exc: CalibrationLookupError):
-    """The blank row of a grid point without calibration, noted on stderr."""
+def _uncalibrated(point, exc: CalibrationLookupError, noted: set):
+    """The blank row of a grid point without calibration; its note goes to
+    stderr unless `noted`, the notes of this sweep so far, holds it."""
     strategy, _, rho, nu, _ = point
-    print(f"note: no calibration for {strategy} at rho={rho} MB, nu={nu} s "
-          f"({exc}); skipping", file=sys.stderr)
+    note = (f"note: no calibration for {strategy} at rho={rho} MB, nu={nu} s "
+            f"({exc}); skipping")
+    if note not in noted:
+        noted.add(note)
+        print(note, file=sys.stderr)
     return _row(*point, None)
 
 
@@ -348,7 +352,7 @@ def feasibility_sweep(spec: SweepSpec, params_template: ScenarioParams,
     Returns (rows, summary) where summary maps (strategy, rho_mb, nu_s) to
     the largest feasible population, or None.
     """
-    rows = []
+    rows, noted = [], set()
     summary = dict.fromkeys(itertools.product(
         spec.strategies, spec.rho_list_mb, spec.nu_list_s))
     for point, params, counts in _grid(spec, params_template):
@@ -361,7 +365,7 @@ def feasibility_sweep(spec: SweepSpec, params_template: ScenarioParams,
                 t_d = model.sm_downtime(sid, n_total, cal, rho)
                 ok = not model.exceeds(t_d, params.max_sm_downtime)
         except CalibrationLookupError as exc:
-            rows.append(_uncalibrated(point, exc))
+            rows.append(_uncalibrated(point, exc, noted))
             continue
         rows.append(_row(*point, ok))
         best = summary[strategy, rho, nu]
@@ -374,14 +378,14 @@ def energy_sweep(spec: SweepSpec, servers: Sequence[ServerSpec],
                  params_template: ScenarioParams, cal: CalibrationSet,
                  solver: str = "bnb", limits: SolveLimits = None):
     """Realized savings across the grid, starting from a balanced cluster."""
-    rows = []
+    rows, noted = [], set()
     for point, params, counts in _grid(spec, params_template):
         state = balanced_state(spec.classes, servers, counts)
         t0 = time.perf_counter()
         try:
             slot = run_timeslot(state, params, cal, solver, limits)
         except CalibrationLookupError as exc:
-            rows.append(_uncalibrated(point, exc))
+            rows.append(_uncalibrated(point, exc, noted))
             continue
         elapsed = time.perf_counter() - t0
         if slot.plan is None:

@@ -88,6 +88,13 @@ def _count(value, where: str) -> int:
     return value
 
 
+def _flag(value, where: str) -> bool:
+    if isinstance(value, int) and value in (0, 1):
+        return bool(value)
+    raise ScenarioError(
+        f"{where}: expected true, false, 0 or 1, got {value!r}")
+
+
 def _classes(raw) -> Tuple[XAppClass, ...]:
     """The `classes` list of a scenario or sweep file."""
     if not isinstance(raw, list) or not raw:
@@ -136,7 +143,8 @@ def parse_scenario(source, strategy_override: Optional[str] = None) -> ScenarioF
                             "disk_cap"), where)
         fields = dict(
             id=str(_require(entry, "id", where)),
-            optional_flag=bool(entry.get("optional", False)),
+            optional_flag=_flag(entry.get("optional", False),
+                                f"{where}.optional"),
             cpu_cap=_number(_require(entry, "cpu_cap", where),
                             f"{where}.cpu_cap"),
             mem_cap=_number(_require(entry, "mem_cap", where),
@@ -223,7 +231,8 @@ def parse_scenario(source, strategy_override: Optional[str] = None) -> ScenarioF
         state = ClusterState(
             servers=tuple(servers),
             initial_counts=counts,
-            initial_active=tuple(int(bool(v)) for v in raw_active),
+            initial_active=tuple(_flag(v, f"initial_active[{i}]")
+                                 for i, v in enumerate(raw_active)),
             pending_deploys=pend["pending_deploys"],
             pending_undeploys=pend["pending_undeploys"],
         )

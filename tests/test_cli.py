@@ -283,16 +283,30 @@ def _server(**overrides):
             "disk_cap": 250.0, **overrides}
 
 
-@pytest.mark.parametrize("entry, message", [
-    (_server(cpu_cap="x"), "servers[0].cpu_cap: expected a number, got 'x'"),
-    ({"id": "s1", "cpu_cap": 128.0, "mem_cap": 125.0},
-     "servers[0]: missing required key 'disk_cap'"),
-    # a complaint of the server itself gets the entry's place once
-    (_server(cpu_cap=0.0), "servers[0]: server s1: capacities must be > 0"),
-], ids=["not-a-number", "missing-key", "zero-capacity"])
-def test_malformed_server_entry_exits_1(tmp_path, entry, message, capsys):
+def _first_server(entry):
     doc = low_load_doc()
     doc["servers"][0] = entry
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_first_server(_server(cpu_cap="x")),
+     "servers[0].cpu_cap: expected a number, got 'x'"),
+    (_first_server({"id": "s1", "cpu_cap": 128.0, "mem_cap": 125.0}),
+     "servers[0]: missing required key 'disk_cap'"),
+    # a complaint of the server itself gets the entry's place once
+    (_first_server(_server(cpu_cap=0.0)),
+     "servers[0]: server s1: capacities must be > 0"),
+    # a string is not a flag: "false" would read as optional, "0" as active
+    (_first_server(_server(optional="false")),
+     "servers[0].optional: expected true, false, 0 or 1, got 'false'"),
+    (_first_server(_server(optional=2)),
+     "servers[0].optional: expected true, false, 0 or 1, got 2"),
+    (low_load_doc(initial_active=[1, "0", 1, 1]),
+     "initial_active[1]: expected true, false, 0 or 1, got '0'"),
+], ids=["not-a-number", "missing-key", "zero-capacity", "optional-string",
+        "optional-two", "active-string"])
+def test_malformed_server_entry_exits_1(tmp_path, doc, message, capsys):
     bad = write_json(tmp_path / "s.json", doc)
     assert main(["plan", "--scenario", bad, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -309,7 +323,8 @@ def test_uncalibrated_grid_point_is_noted_and_left_blank(tmp_path, scenario,
                  "--out", str(out)]) == 0
     note = ("note: no calibration for sm-mr at rho=5.0 MB, nu=1.0 s (no "
             "calibration entry for kpi.sm-mr.rho=5.0); skipping\n")
-    assert capsys.readouterr().err == 2 * note
+    # one note per sweep, though both populations of the point are blank
+    assert capsys.readouterr().err == note
     lines = (out / f"{command}.csv").read_text().splitlines()
     assert [l.split(",")[5] for l in lines[1:3]] == ["true", "true"]
     assert lines[3:] == ["sm-mr,A,5,1,4,,,,,", "sm-mr,A,5,1,10,,,,,"]

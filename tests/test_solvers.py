@@ -377,9 +377,10 @@ def test_solve_layout_names_every_lp_column_once(cal):
 
 def _dense(lp):
     """The constraint matrix of the node LP `lp` as a dense array."""
-    n = len(lp.c)
-    a = np.zeros((len(lp.rhs), n))
-    a[lp.indices, np.repeat(np.arange(n), np.diff(lp.indptr))] = lp.data
+    m = len(lp.rhs)
+    a = np.zeros((m, len(lp.c)))
+    a[np.repeat(np.arange(m), np.diff(lp.starts)), lp.index] = lp.data
+    a[tuple(lp.env_at)] = lp.env
     return a
 
 
@@ -465,9 +466,11 @@ def _failing_lp(real, fail_at):
 
 
 # greedy's seed is above the optimum here; failing the root LP or the sixth
-# LP (call 5) used to prune the optimum's box and still report "optimal"
-@pytest.mark.parametrize("fail_at", [0, 5, None],
-                         ids=["root", "inner", "every"])
+# LP (call 5) used to prune the optimum's box and still report "optimal";
+# "rejected-model" has HiGHS refuse the node LP (`_load` returns None), so
+# every LP of the solve fails
+@pytest.mark.parametrize("fail_at", [0, 5, None, "load"],
+                         ids=["root", "inner", "every", "rejected-model"])
 def test_failed_lp_never_closes_a_node(cal, fail_at, monkeypatch):
     state = ClusterState(
         servers=make_servers(3, n_mandatory=2, cpu=64.0, mem=64.0),
@@ -478,10 +481,23 @@ def test_failed_lp_never_closes_a_node(cal, fail_at, monkeypatch):
     seed, _ = solve_greedy(problem)
     assert seed.energy_total > exact.objective * (1 + 1e-9)
 
-    monkeypatch.setattr(bnb, "linprog", _failing_lp(bnb.linprog, fail_at))
+    live, statuses = bnb.linprog, []
+    if fail_at == "load":
+        monkeypatch.setattr(bnb, "_load", lambda core, options, lp: None)
+    else:
+        live = _failing_lp(live, fail_at)
+
+    def recorded(lp):
+        res = live(lp)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(bnb, "linprog", recorded)
     _, report = solve_bnb(problem, SolveLimits(time_limit=60.0))
     assert report.status == STATUS_OPTIMAL
     assert report.objective == pytest.approx(exact.objective, rel=1e-9)
+    if fail_at in (None, "load"):
+        assert statuses and set(statuses) == {4}
 
 
 def test_import_leaves_scipy_unloaded():
