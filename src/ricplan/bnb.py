@@ -327,9 +327,11 @@ def linprog(lp):
     """Solve the node LP of `lp` (a `_Solve`) on its live HiGHS model.
 
     The first call loads the skeleton of `lp` into a new HiGHS instance,
-    held in `lp.highs`.  Every call, the first included, pushes the column
-    bounds, the envelope coefficients `lp.env` and the right-hand sides of
-    `lp.node_rows`, then solves, from the previous basis after the first.
+    held in `lp.highs`; if HiGHS rejects the model, `lp.highs` is False and
+    every LP of the solve reads status 4 without loading again.  Every call,
+    the first included, pushes the column bounds, the envelope coefficients
+    `lp.env` and the right-hand sides of `lp.node_rows`, then solves, from
+    the previous basis after the first.
     Returns .status in scipy.optimize.linprog's codes (0 optimal, 1
     iteration or time limit, 2 infeasible, 3 unbounded, 4 anything else,
     including an optimum whose point fails linprog's residual check),
@@ -338,10 +340,10 @@ def linprog(lp):
     """
     core, options = _highspy()
     if lp.highs is None:
-        lp.highs = _load(core, options, lp)
+        lp.highs = _load(core, options, lp) or False
     highs, n = lp.highs, len(lp.c)
     status, fun, x = 4, None, None
-    if highs is not None:
+    if highs is not False:
         statuses = [highs.changeColsBounds(n, np.arange(n, dtype=np.int32),
                                            lp.lb, lp.ub)]
         statuses += map(highs.changeCoeff, *lp.env_at, lp.env)

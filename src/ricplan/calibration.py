@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import copy
 import csv
-import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Mapping
 
 import numpy as np
+
+from .reader import Reader
 
 SDL = "sdl"
 SM_MR = "sm-mr"
@@ -177,137 +177,92 @@ def default_calibration() -> CalibrationSet:
 # ---------------------------------------------------------------------------
 # loading / validation
 
-_TOP_BLOCKS = ("kpi", "sigma", "sdl_linear", "sm_overhead", "xapp_load", "server_idle")
-_KPI_COEFFS = ("delta_d", "b_d", "delta_m", "b_m")
+_read = Reader(CalibrationError)
+_ANY, _AXIS = "any key", "a decimal or the wildcard"
 
 
-def _parse_axis_key(raw, where: str):
-    """File keys for rho/nu are decimal strings or the wildcard."""
-    if raw == WILDCARD:
-        return WILDCARD
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise CalibrationError(f"{where}: bad numeric key {raw!r}") from None
+def _slope(value, where: str) -> float:
+    number = _read.number(value, where)
+    if number < 0:
+        raise CalibrationError(f"{where}: slope must be >= 0")
+    return number
 
 
-def _require_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CalibrationError(f"{where}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise CalibrationError(f"{where}: non-finite value")
-    return float(value)
+# Each block of a calibration file, in the order they are read: the field of
+# CalibrationSet it merges into, the key kind of each level (_ANY, _AXIS or
+# (noun, allowed keys)) and the leaf.  A leaf is a number reader, or a line:
+# the readers of an object's fields, read over the entry the object
+# overrides, so the merged entry holds every field.
+_BLOCKS = {
+    "kpi": ("kpi", (("strategy", STRATEGIES), _AXIS), {
+        "delta_d": _slope, "b_d": _read.number,
+        "delta_m": _slope, "b_m": _read.number}),
+    "sigma": ("sigma_ms", (_ANY, _AXIS, _AXIS), _read.nonnegative),
+    "sdl_linear": ("sdl_linear", (_ANY, ("metric", METRICS)),
+                   {"delta": _read.number, "b": _read.number}),
+    "sm_overhead": ("sm_overhead",
+                    (("strategy", (SM_MR, SM_MD)), ("metric", METRICS)),
+                    _read.number),
+    "xapp_load": ("xapp_load", (_ANY, ("metric", METRICS)),
+                  _read.nonnegative),
+    "server_idle": ("server_idle", (("metric", METRICS),), _read.nonnegative),
+}
+
+
+def _key(kind, raw, where: str):
+    """The table key of the file key `raw`, read as `kind`."""
+    if kind is _AXIS:
+        if raw == WILDCARD:
+            return WILDCARD
+        try:
+            key = float(raw)
+        except (TypeError, ValueError, OverflowError):
+            key = math.nan
+        if not math.isfinite(key):
+            raise CalibrationError(f"{where}: bad numeric key {raw!r}")
+        return key
+    if kind is not _ANY and raw not in kind[1]:
+        raise CalibrationError(f"{where}: unknown {kind[0]} {raw!r}")
+    return raw
+
+
+def _merge(table: dict, value, where: str, kinds, leaf) -> dict:
+    """Read the object `value`, keyed as kinds[0], into `table`: a deeper
+    level merges into the table it overrides (a new table only once it holds
+    an entry), the last level's entries are read by `leaf`."""
+    if not isinstance(value, Mapping):
+        raise CalibrationError(f"{where}: expected an object")
+    kind, *deeper = kinds
+    for raw, entry in value.items():
+        key, at = _key(kind, raw, where), f"{where}.{raw}"
+        if deeper:
+            sub = _merge(table.get(key, {}), entry, at, deeper, leaf)
+            if sub:
+                table[key] = sub
+        elif isinstance(leaf, dict):
+            table[key] = _read.record(entry, at, leaf, table.get(key, {}))
+        else:
+            table[key] = leaf(entry, at)
+    return table
 
 
 def load_calibration(source) -> CalibrationSet:
     """Build a CalibrationSet from a JSON document merged over the defaults.
 
     `source` may be a mapping, a path to a JSON file, or None (defaults only).
-    Unknown blocks or keys are rejected; sigma values and KPI slopes must be
+    Unknown blocks or keys are rejected and every number must be finite;
+    sigma values, loads, idle coefficients and KPI slopes must be
     non-negative (backend-share slopes may legitimately be negative).
     """
-    if source is None:
-        doc: Mapping[str, Any] = {}
-    elif isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    elif isinstance(source, Mapping):
-        doc = source
-    else:
-        raise CalibrationError(f"unsupported calibration source {type(source).__name__}")
-    if not isinstance(doc, Mapping):
-        raise CalibrationError("calibration document must be a JSON object")
-
-    base = default_calibration()
-    kpi = copy.deepcopy(base.kpi)
-    sigma_ms = copy.deepcopy(base.sigma_ms)
-    sdl_linear = copy.deepcopy(base.sdl_linear)
-    sm_overhead = copy.deepcopy(base.sm_overhead)
-    xapp_load = copy.deepcopy(base.xapp_load)
-    server_idle = copy.deepcopy(base.server_idle)
-
+    doc = {} if source is None else _read.document(source)
     for block in doc:
-        if block not in _TOP_BLOCKS:
+        if block not in _BLOCKS:
             raise CalibrationError(f"unknown calibration block {block!r}")
-
-    for strategy, by_rho in doc.get("kpi", {}).items():
-        if strategy not in STRATEGIES:
-            raise CalibrationError(f"kpi: unknown strategy {strategy!r}")
-        for raw_rho, coeffs in by_rho.items():
-            rho = _parse_axis_key(raw_rho, f"kpi.{strategy}")
-            slot = kpi.setdefault(strategy, {}).setdefault(rho, {})
-            for name, value in coeffs.items():
-                if name not in _KPI_COEFFS:
-                    raise CalibrationError(f"kpi.{strategy}.{raw_rho}: unknown coefficient {name!r}")
-                v = _require_number(value, f"kpi.{strategy}.{raw_rho}.{name}")
-                if name.startswith("delta") and v < 0:
-                    raise CalibrationError(f"kpi.{strategy}.{raw_rho}.{name}: slope must be >= 0")
-                slot[name] = v
-            missing = [c for c in _KPI_COEFFS if c not in slot]
-            if missing:
-                raise CalibrationError(
-                    f"kpi.{strategy}.{raw_rho}: incomplete entry, missing {missing}"
-                )
-
-    for cls, by_rho in doc.get("sigma", {}).items():
-        for raw_rho, by_nu in by_rho.items():
-            rho = _parse_axis_key(raw_rho, f"sigma.{cls}")
-            for raw_nu, value in by_nu.items():
-                nu = _parse_axis_key(raw_nu, f"sigma.{cls}.{raw_rho}")
-                v = _require_number(value, f"sigma.{cls}.{raw_rho}.{raw_nu}")
-                if v < 0:
-                    raise CalibrationError(
-                        f"sigma.{cls}.{raw_rho}.{raw_nu}: sigma must be >= 0, got {value}"
-                    )
-                sigma_ms.setdefault(cls, {}).setdefault(rho, {})[nu] = v
-
-    for cls, by_metric in doc.get("sdl_linear", {}).items():
-        for metric, pair in by_metric.items():
-            if metric not in METRICS:
-                raise CalibrationError(f"sdl_linear.{cls}: unknown metric {metric!r}")
-            slot = sdl_linear.setdefault(cls, {}).setdefault(metric, {})
-            for name, value in pair.items():
-                if name not in ("delta", "b"):
-                    raise CalibrationError(f"sdl_linear.{cls}.{metric}: unknown key {name!r}")
-                slot[name] = _require_number(value, f"sdl_linear.{cls}.{metric}.{name}")
-            if "delta" not in slot or "b" not in slot:
-                raise CalibrationError(f"sdl_linear.{cls}.{metric}: needs both delta and b")
-
-    for strategy, by_metric in doc.get("sm_overhead", {}).items():
-        if strategy not in (SM_MR, SM_MD):
-            raise CalibrationError(f"sm_overhead: unknown strategy {strategy!r}")
-        for metric, value in by_metric.items():
-            if metric not in METRICS:
-                raise CalibrationError(f"sm_overhead.{strategy}: unknown metric {metric!r}")
-            sm_overhead.setdefault(strategy, {})[metric] = _require_number(
-                value, f"sm_overhead.{strategy}.{metric}"
-            )
-
-    for cls, by_metric in doc.get("xapp_load", {}).items():
-        for metric, value in by_metric.items():
-            if metric not in METRICS:
-                raise CalibrationError(f"xapp_load.{cls}: unknown metric {metric!r}")
-            v = _require_number(value, f"xapp_load.{cls}.{metric}")
-            if v < 0:
-                raise CalibrationError(f"xapp_load.{cls}.{metric}: must be >= 0")
-            xapp_load.setdefault(cls, {})[metric] = v
-
-    for metric, value in doc.get("server_idle", {}).items():
-        if metric not in METRICS:
-            raise CalibrationError(f"server_idle: unknown metric {metric!r}")
-        v = _require_number(value, f"server_idle.{metric}")
-        if v < 0:
-            raise CalibrationError(f"server_idle.{metric}: must be >= 0")
-        server_idle[metric] = v
-
-    return CalibrationSet(
-        kpi=kpi,
-        sigma_ms=sigma_ms,
-        sdl_linear=sdl_linear,
-        sm_overhead=sm_overhead,
-        xapp_load=xapp_load,
-        server_idle=server_idle,
-    )
+    cal = default_calibration()
+    for block, (field_name, kinds, leaf) in _BLOCKS.items():
+        if block in doc:
+            _merge(getattr(cal, field_name), doc[block], block, kinds, leaf)
+    return cal
 
 
 def _axis_key_out(key):

@@ -44,6 +44,7 @@ from .problem import (
     build_problem,
     validate_plan,
 )
+from .reader import Reader
 from .scenario import ScenarioError, parse_scenario, parse_sweep
 
 CSV_HEADER = ("strategy", "class", "rho_mb", "nu_s", "n_total", "feasible",
@@ -56,6 +57,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _limit(text: str) -> float:
+    """A --time-limit or --gap value: a number >= 0, as in a scenario's
+    `limits`; anything else is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    return Reader(argparse.ArgumentTypeError).nonnegative(value, "")
 
 
 def _sig6(value):
@@ -284,9 +296,9 @@ def _build_parser() -> _Parser:
 
     def solver_flags(p):
         p.add_argument("--solver", default="bnb", choices=list(SOLVERS))
-        p.add_argument("--time-limit", type=float, default=None, metavar="S",
+        p.add_argument("--time-limit", type=_limit, default=None, metavar="S",
                        help="solver time limit in seconds (default 300)")
-        p.add_argument("--gap", type=float, default=None, metavar="FRAC",
+        p.add_argument("--gap", type=_limit, default=None, metavar="FRAC",
                        help="stop once the optimality gap is certified below "
                             "this fraction")
 

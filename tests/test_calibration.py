@@ -153,6 +153,28 @@ def test_unknown_metric_rejected():
         load_calibration({"server_idle": {"GPU": 1.0}})
 
 
+# entries that are not objects inside a block: test_cli.py's
+# test_malformed_calibration_exits_1
+@pytest.mark.parametrize("doc, message", [
+    ({"xapp_load": None}, "xapp_load: expected an object"),
+    ({"server_idle": {"E": math.nan}}, "server_idle.E: non-finite value"),
+    ({"sm_overhead": {"sm-mr": {"E": -math.inf}}},
+     "sm_overhead.sm-mr.E: non-finite value"),
+    ({"sigma": {"A": {"inf": {"1.0": 1.0}}}}, "sigma.A: bad numeric key 'inf'"),
+], ids=["block", "nan", "minus-infinity", "infinite-key"])
+def test_malformed_entry_names_its_path(doc, message):
+    with pytest.raises(CalibrationError) as exc:
+        load_calibration(doc)
+    assert str(exc.value) == message
+
+
+def test_empty_entries_add_no_table(cal):
+    # a class without entries must not shadow the wildcard on lookup
+    doc = {"sigma": {"E": {"1.0": {}}}, "xapp_load": {"E": {}},
+           "sdl_linear": {"E": {}}}
+    assert load_calibration(doc) == cal
+
+
 def test_round_trip(cal):
     doc = serialize_calibration(cal)
     json.dumps(doc)  # must be JSON-serializable as-is

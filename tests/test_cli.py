@@ -312,6 +312,67 @@ def test_malformed_server_entry_exits_1(tmp_path, doc, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _params(**overrides):
+    return {"state_size": 1.0e6, "strategy": "sm-mr", **overrides}
+
+
+# every number of a scenario or sweep file must be finite; NaN, Infinity and
+# -Infinity are what Python's json module reads and writes for them
+@pytest.mark.parametrize("doc, grid, message", [
+    (low_load_doc(params=_params(slot_length=math.inf)), None,
+     "params.slot_length: non-finite value"),
+    (_first_server(_server(cpu_cap=math.nan)), None,
+     "servers[0].cpu_cap: non-finite value"),
+    (low_load_doc(limits={"time_limit": math.nan}), None,
+     "limits.time_limit: non-finite value"),
+    (low_load_doc(limits={"gap_target": -0.01}), None,
+     "limits.gap_target: must be >= 0, got -0.01"),
+    (low_load_doc(), sweep_doc(rho_list_mb=[1.0, math.nan]),
+     "rho_list_mb[1]: non-finite value"),
+], ids=["infinite-slot", "nan-cpu-cap", "nan-time-limit", "negative-gap",
+        "nan-rho"])
+def test_non_finite_or_negative_number_exits_1(tmp_path, doc, grid, message,
+                                               capsys):
+    scenario = write_json(tmp_path / "s.json", doc)
+    argv = ["plan", "--scenario", scenario, "--out", str(tmp_path / "out")]
+    if grid is not None:
+        argv = ["sweep", "--sweep", write_json(tmp_path / "g.json", grid),
+                *argv[1:]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--time-limit", "nan", "non-finite value"),
+    ("--time-limit", "x", "expected a number, got 'x'"),
+    ("--gap", "-1", "must be >= 0, got -1.0"),
+], ids=["nan-time-limit", "text-time-limit", "negative-gap"])
+def test_bad_limit_flag_is_usage_error(scenario, flag, value, message,
+                                       capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--scenario", scenario, flag, value])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        f"ricplan plan: error: argument {flag}: {message}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"kpi": {"sm-mr": 5}}', "kpi.sm-mr: expected an object"),
+    ('{"sigma": {"A": {"1.0": 3}}}', "sigma.A.1.0: expected an object"),
+    ('{"kpi": }', "{path}: not valid JSON (Expecting value: line 1 column 9 "
+                  "(char 8))"),
+], ids=["kpi-not-an-object", "sigma-not-an-object", "broken-json"])
+def test_malformed_calibration_exits_1(tmp_path, scenario, text, message,
+                                       capsys):
+    cal = tmp_path / "cal.json"
+    cal.write_text(text)
+    rc = main(["plan", "--scenario", scenario, "--calibration", str(cal),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: {message.format(path=cal)}\n"
+
+
 @pytest.mark.parametrize("command", ["feasibility", "sweep"])
 def test_uncalibrated_grid_point_is_noted_and_left_blank(tmp_path, scenario,
                                                          command, capsys):

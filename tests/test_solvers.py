@@ -468,7 +468,7 @@ def _failing_lp(real, fail_at):
 # greedy's seed is above the optimum here; failing the root LP or the sixth
 # LP (call 5) used to prune the optimum's box and still report "optimal";
 # "rejected-model" has HiGHS refuse the node LP (`_load` returns None), so
-# every LP of the solve fails
+# every LP of the solve fails, and the solve loads the model only once
 @pytest.mark.parametrize("fail_at", [0, 5, None, "load"],
                          ids=["root", "inner", "every", "rejected-model"])
 def test_failed_lp_never_closes_a_node(cal, fail_at, monkeypatch):
@@ -481,9 +481,12 @@ def test_failed_lp_never_closes_a_node(cal, fail_at, monkeypatch):
     seed, _ = solve_greedy(problem)
     assert seed.energy_total > exact.objective * (1 + 1e-9)
 
-    live, statuses = bnb.linprog, []
+    live, statuses, loads = bnb.linprog, [], []
     if fail_at == "load":
-        monkeypatch.setattr(bnb, "_load", lambda core, options, lp: None)
+        def rejected(core, options, lp):
+            loads.append(lp)
+            return None
+        monkeypatch.setattr(bnb, "_load", rejected)
     else:
         live = _failing_lp(live, fail_at)
 
@@ -498,6 +501,9 @@ def test_failed_lp_never_closes_a_node(cal, fail_at, monkeypatch):
     assert report.objective == pytest.approx(exact.objective, rel=1e-9)
     if fail_at in (None, "load"):
         assert statuses and set(statuses) == {4}
+    if fail_at == "load":
+        # the rejection is remembered: no node loads the model again
+        assert len(loads) == 1
 
 
 def test_import_leaves_scipy_unloaded():
