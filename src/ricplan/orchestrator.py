@@ -35,6 +35,7 @@ from .problem import (
     annotate_plan,
     build_problem,
     plan_aggregates,
+    plan_from_aggregates,
     source_window,
     usage,
 )
@@ -149,6 +150,9 @@ def apply_undeployments(state: ClusterState,
     if policy is None:
         policy = _default_drain_policy
     removals = dict(n_minus) if n_minus is not None else dict(state.pending_undeploys)
+    for cls in removals:
+        if cls not in state.initial_counts:
+            raise ValueError(f"undeploy count for unknown class {cls!r}")
     counts = {cls: list(state.initial_counts[cls]) for cls in state.classes}
     n = len(state.servers)
     for cls in state.classes:
@@ -226,16 +230,8 @@ def baseline_plan(state: ClusterState, params: ScenarioParams,
                 f"exceeds the slot"
             )
 
-    x = {}
-    for cls in classes:
-        rows = []
-        for src in range(n):
-            row = [0] * n
-            row[src] = state.initial_counts[cls][src]
-            rows.append(row)
-        rows.append(list(new[cls]))
-        x[cls] = tuple(tuple(r) for r in rows)
-    return MigrationPlan(x=x, mu=tuple(1 for _ in range(n)))
+    still = {cls: [0] * n for cls in classes}
+    return plan_from_aggregates(problem, (1,) * n, still, still, new)
 
 
 def baseline_energy(state: ClusterState, params: ScenarioParams,

@@ -42,6 +42,7 @@ from .model import (
     StrategyId,
     exceeds,
 )
+from .reader import Reader
 
 STATUS_OPTIMAL = "optimal"
 STATUS_GAP = "gap_reached"
@@ -127,6 +128,25 @@ class SalProblem:
         )
 
 
+class PlanError(ValueError):
+    """A plan file or document failed validation."""
+
+
+_read = Reader(PlanError)
+
+
+def _integers(raw, where):
+    return _read.items(raw, where, _read.integer)
+
+
+# validate_plan judges the shape and recomputes the annotation to_dict adds
+_ANNOTATION = ("activation_ratio", "energy_total_j", "energy_per_server_j",
+               "kpi")
+_PLAN = {"mu": _integers, "x": lambda raw, where: _read.table(
+    raw, where, lambda rows, at: _read.items(rows, at, _integers)),
+    **dict.fromkeys(_ANNOTATION, lambda raw, where: None)}
+
+
 @dataclass(frozen=True)
 class MigrationPlan:
     """A (possibly annotated) assignment of migrations and activations."""
@@ -169,19 +189,12 @@ class MigrationPlan:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: Mapping) -> "MigrationPlan":
-        """The plan a document holds; every entry must be a JSON integer."""
-        try:
-            x, mu = doc["x"], doc["mu"]
-            entries = [*mu, *(v for rows in x.values()
-                               for row in rows for v in row)]
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed plan document: {exc}") from None
-        bad = [v for v in entries if type(v) is not int]
-        if bad:
-            raise ValueError("malformed plan document: non-integer entry "
-                             f"{bad[0]!r}")
-        return cls(x=x, mu=mu)
+    def from_dict(cls, source) -> "MigrationPlan":
+        """The plan in `source`, a mapping or the path of a JSON file; every
+        entry of `mu` and `x` must be a JSON integer (PlanError if not)."""
+        fields = _read.record(_read.document(source), "plan", _PLAN,
+                              dict.fromkeys(_ANNOTATION))
+        return cls(x=fields["x"], mu=fields["mu"])
 
 
 @dataclass

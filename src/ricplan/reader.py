@@ -1,11 +1,13 @@
-"""Strict readers for the JSON input files: scenario, sweep and calibration.
+"""Strict readers for the JSON input files: scenario, sweep, calibration
+and plan.
 
 One set of rules for every file kind.  A document is a JSON object; a
 record is an object whose keys are all declared, read field by field in the
 order declared, so the first complaint is about the first bad field; a
-number is finite, a count a non-negative integer, a flag true, false, 0 or
-1.  Every complaint names the field it is about and raises the error type
-of the module that reads the file.  This module imports nothing from the
+table is an object whose keys are free; a number is finite, an integer a
+JSON integer, a count a non-negative integer, a flag true, false, 0 or 1.
+Every complaint names the field it is about and raises the error type of
+the module that reads the file.  This module imports nothing from the
 package, so every other module can use it.
 """
 
@@ -49,14 +51,14 @@ class Reader:
 
     def record(self, value, where: str, fields: Mapping[str, Callable],
                defaults: Optional[Mapping] = None,
-               prefix: Optional[str] = None,
+               prefix: Optional[str] = None, suffix: str = "",
                into: Optional[dict] = None) -> dict:
         """The fields of the object `value`, as {key: read(raw, path)}.
 
         `fields` maps each key to its reader, in the order the keys are
         read; a key without a default is required.  A field's path is
-        `prefix` + key (`prefix` defaults to "where.").  The fields go into
-        `into` as they are read, so a later reader can see them.
+        prefix + key + suffix, prefix "where." by default.  The fields go
+        into `into` as they are read, so a later reader can see them.
         """
         if type(value) is not dict and not isinstance(value, Mapping):
             self.fail(where, "expected an object")
@@ -73,15 +75,21 @@ class Reader:
                 raw = defaults[key]
             else:
                 self.fail(where, f"missing required key {key!r}")
-            out[key] = read(raw, prefix + key)
+            out[key] = read(raw, prefix + key + suffix)
         return out
 
+    def table(self, value, where: str, read: Callable) -> dict:
+        """An object with free keys, as {key: read(entry, "where[key]")}."""
+        if type(value) is not dict and not isinstance(value, Mapping):
+            self.fail(where, "expected an object")
+        return {key: read(entry, f"{where}[{key}]")
+                for key, entry in value.items()}
+
     def items(self, value, where: str, read: Callable,
-              expect: str = "a non-empty list", fits: Callable = len) -> tuple:
-        """The list `value` as a tuple of read(entry, "where[i]"); `fits`
-        judges the list, and a list it rejects is not `expect`."""
-        if not isinstance(value, list) or not fits(value):
-            self.fail(where, f"expected {expect}")
+              nonempty: bool = False) -> tuple:
+        """The list `value` as a tuple of read(entry, "where[i]")."""
+        if not isinstance(value, list) or nonempty and not value:
+            self.fail(where, f"expected a {'non-empty ' * nonempty}list")
         return tuple([read(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
     def number(self, value, where: str) -> float:
@@ -99,10 +107,17 @@ class Reader:
             self.fail(where, f"must be >= 0, got {value!r}")
         return number
 
-    def count(self, value, where: str) -> int:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            self.fail(where, f"expected a non-negative integer, got {value!r}")
+    def integer(self, value, where: str, expect: str = "an integer",
+                least: float = float("-inf")) -> int:
+        """A JSON integer (not a bool) >= `least`, else not `expect`."""
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < least:
+            self.fail(where, f"expected {expect}, got {value!r}")
+        self.number(value, where)  # past the float range: not finite
         return value
+
+    def count(self, value, where: str) -> int:
+        return self.integer(value, where, "a non-negative integer", 0)
 
     def flag(self, value, where: str) -> bool:
         if isinstance(value, int) and value in (0, 1):

@@ -8,7 +8,6 @@ running with a default.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -67,7 +66,7 @@ def _build(make, where: Optional[str], **fields):
 def _classes(raw, where) -> Tuple[XAppClass, ...]:
     """The `classes` list of a scenario or sweep file."""
     classes = _read.items(raw, where, lambda entry, at: _build(
-        XAppClass, at, **_read.record(entry, at, _CLASS)))
+        XAppClass, at, **_read.record(entry, at, _CLASS)), nonempty=True)
     if len({c.id for c in classes}) != len(classes):
         raise ScenarioError(f"{where}: duplicate class ids")
     return classes
@@ -86,37 +85,26 @@ def _strategy(value, where) -> StrategyId:
         raise ScenarioError(f"{where}: unknown strategy {value!r}") from exc
 
 
-def _by_class(raw, where, classes):
-    """The object `raw`, keyed by ids of `classes`."""
-    if not isinstance(raw, Mapping):
-        raise ScenarioError(f"{where}: expected an object")
-    ids = {c.id for c in classes}
-    for cls in raw:
-        if cls not in ids:
-            raise ScenarioError(f"{where}: unknown class {cls!r}")
-    return raw
-
-
 def parse_scenario(source, strategy_override: Optional[str] = None) -> ScenarioFile:
     """Parse a scenario JSON file or mapping into typed objects."""
 
+    # ClusterState judges the server count, lengths and pending class ids
+    def row(raw, where):
+        return _read.items(raw, where, _read.count)
+
     def counts(raw, where):
-        rows, n = _by_class(raw, where, got["classes"]), len(got["servers"])
-        return {c.id: _read.items(rows.get(c.id, [0] * n), f"{where}[{c.id}]",
-                                  _read.count, f"a list of {n} counts",
-                                  lambda row: len(row) == n)
-                for c in got["classes"]}
+        ids = [c.id for c in got["classes"]]
+        return _read.record(raw, where, dict.fromkeys(ids, row),
+                            dict.fromkeys(ids, [0] * len(got["servers"])),
+                            f"{where}[", "]")
 
     def active(raw, where):
-        n = len(got["servers"])
         if raw is _ALL_ACTIVE:
-            return (True,) * n
-        return _read.items(raw, where, _read.flag, f"a list of {n} flags",
-                           lambda row: len(row) == n)
+            return (True,) * len(got["servers"])
+        return _read.items(raw, where, _read.flag)
 
     def pending(raw, where):
-        return {cls: _read.count(v, f"{where}[{cls}]")
-                for cls, v in _by_class(raw, where, got["classes"]).items()}
+        return _read.table(raw, where, _read.count)
 
     def strategy(raw, where):
         raw = strategy_override or raw
@@ -158,14 +146,13 @@ def parse_sweep(source) -> SweepSpec:
     """Parse a sweep-grid JSON file or mapping."""
 
     def numbers(raw, where):
-        return _read.items(raw, where, _read.number)
+        return _read.items(raw, where, _read.number, nonempty=True)
 
     fields = _read.record(_read.document(source), "sweep", {
         "classes": _classes,
-        "count_range": lambda raw, where: _read.items(
-            raw, where, _read.count, "a list", lambda row: True),
+        "count_range": lambda raw, where: _read.items(raw, where, _read.count),
         "strategies": lambda raw, where: _read.items(
-            raw, where, lambda v, at: _strategy(v, where).value),
+            raw, where, lambda v, _: _strategy(v, where).value, nonempty=True),
         "dominant_class": _read.text,
         "dominant_share": _read.number,
         "rho_list_mb": numbers,

@@ -304,8 +304,21 @@ def _first_server(entry):
      "servers[0].optional: expected true, false, 0 or 1, got 2"),
     (low_load_doc(initial_active=[1, "0", 1, 1]),
      "initial_active[1]: expected true, false, 0 or 1, got '0'"),
+    (low_load_doc(pending_deploys={"A": 10 ** 400}),
+     "pending_deploys[A]: non-finite value"),
+    # the parser reads the JSON types; the cluster state judges lengths and
+    # class ids
+    (low_load_doc(initial_counts={"A": [3, 3, 2, 2], "Z": [0, 0, 0, 0]}),
+     "initial_counts: unknown key(s) 'Z'"),
+    (low_load_doc(initial_counts={"A": [3, 3]}),
+     "initial_counts[A]: expected 4 entries"),
+    (low_load_doc(initial_active=[1, 1]),
+     "initial_active length must match servers"),
+    (low_load_doc(pending_deploys={"Z": 1}),
+     "pending_deploys: unknown class 'Z'"),
 ], ids=["not-a-number", "missing-key", "zero-capacity", "optional-string",
-        "optional-two", "active-string"])
+        "optional-two", "active-string", "huge-count", "unknown-count-class",
+        "short-row", "short-active", "unknown-pending-class"])
 def test_malformed_server_entry_exits_1(tmp_path, doc, message, capsys):
     bad = write_json(tmp_path / "s.json", doc)
     assert main(["plan", "--scenario", bad, "--out", str(tmp_path)]) == 1
@@ -424,29 +437,71 @@ def test_validate_hand_edit_exits_3(tmp_path, scenario, capsys):
     assert "violated (17)" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc["mu"].__setitem__(1, 0.6),
-    lambda doc: doc["x"]["A"][0].__setitem__(0, doc["x"]["A"][0][0] + 0.9),
-    lambda doc: doc["x"]["A"][0].__setitem__(0, str(doc["x"]["A"][0][0])),
-], ids=["fractional-mu", "fractional-count", "string-count"])
-def test_validate_non_integer_plan_exits_1(tmp_path, scenario, capsys, edit):
-    # truncating these entries would yield the valid plan the file came from
+@pytest.fixture
+def plan_doc(tmp_path, scenario, capsys):
+    """The plan `ricplan plan` writes for `scenario`: x[A] is
+    [[3, 0, 0, 0, 0], [3, 0, 0, 0, 0], [2, 0, 0, 0, 0], [2, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0]] and mu [1, 0, 0, 0]."""
     out = tmp_path / "out"
     assert main(["plan", "--scenario", scenario, "--out", str(out)]) == 0
     capsys.readouterr()
-    doc = json.loads((out / "plan.json").read_text())
-    edit(doc)
-    edited = write_json(tmp_path / "edited.json", doc)
+    return json.loads((out / "plan.json").read_text())
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["mu"].__setitem__(1, 0.6),
+     "plan.mu[1]: expected an integer, got 0.6"),
+    (lambda doc: doc["x"]["A"][0].__setitem__(0, 3.9),
+     "plan.x[A][0][0]: expected an integer, got 3.9"),
+    (lambda doc: doc["x"]["A"][0].__setitem__(0, "3"),
+     "plan.x[A][0][0]: expected an integer, got '3'"),
+    # past the float range, as for every number
+    (lambda doc: doc["x"]["A"][0].__setitem__(0, 10 ** 400),
+     "plan.x[A][0][0]: non-finite value"),
+], ids=["fractional-mu", "fractional-count", "string-count", "huge-count"])
+def test_validate_non_integer_plan_exits_1(tmp_path, scenario, plan_doc,
+                                           capsys, edit, message):
+    # truncating these entries would yield the valid plan the file came from
+    edit(plan_doc)
+    edited = write_json(tmp_path / "edited.json", plan_doc)
     rc = main(["validate", "--scenario", scenario, "--plan", edited])
     assert rc == 1
-    assert "malformed plan document" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_validate_unreadable_plan_exits_1(tmp_path, scenario, capsys):
     missing = tmp_path / "nope.json"
     rc = main(["validate", "--scenario", scenario, "--plan", str(missing)])
     assert rc == 1
-    assert "cannot read plan" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: cannot read {missing}: [Errno 2] No such file or directory: "
+        f"'{missing}'\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"mu": }', "{path}: not valid JSON (Expecting value: line 1 column 8 "
+                 "(char 7))"),
+    ("[1, 2]", "{path}: top level must be an object"),
+    (None, "plan: unknown key(s) 'bogus'"),
+], ids=["broken-json", "top-level-list", "unknown-key"])
+def test_malformed_plan_exits_1(tmp_path, scenario, plan_doc, text, message,
+                                capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(text or json.dumps(dict(plan_doc, bogus=1)))
+    rc = main(["validate", "--scenario", scenario, "--plan", str(plan)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=plan)}\n"
+
+
+def test_validate_negative_count_exits_3(tmp_path, scenario, plan_doc,
+                                         capsys):
+    # a negative count is well-formed JSON: the validator judges it
+    plan_doc["x"]["A"][0][2:4] = [1, -1]
+    edited = write_json(tmp_path / "edited.json", plan_doc)
+    rc = main(["validate", "--scenario", scenario, "--plan", edited])
+    assert rc == 3
+    assert capsys.readouterr().out == \
+        "violated (19): (19) negative migration count in class A\n"
 
 
 def test_fit_exact_line(tmp_path, capsys):

@@ -3,7 +3,8 @@
 The README's scenario, sweep and calibration examples, with one value (a
 leaf or a whole entry) replaced by a NaN, a string, a list, null, an object
 or a negative number, must make `cli.main` return an exit code (0, 1 or 2),
-never raise.
+never raise.  So must the plan file `ricplan plan` writes for them, with
+each of its values replaced in turn, under `ricplan validate` (0, 1 or 3).
 """
 
 import json
@@ -75,3 +76,20 @@ def test_one_bad_value_never_crashes_the_cli(work, case, value):
     docs = dict(EXAMPLES, **{kind: _replaced(EXAMPLES[kind], place, value)})
     command = "feasibility" if kind == "sweep" else "plan"
     assert _run(work, docs, command) in (0, 1, 2)
+
+
+def test_one_bad_plan_value_never_crashes_validate(work):
+    work = work / "plan"
+    work.mkdir()
+    assert _run(work, EXAMPLES, "plan") == 0
+    written = work / "out" / "plan.json"
+    plan = json.loads(written.read_text())
+    argv = ["validate", "--scenario", str(work / "scenario.json"),
+            "--calibration", str(work / "calibration.json"), "--plan"]
+    assert main([*argv, str(written)]) == 0
+    argv.append(str(work / "plan.json"))
+    for place in _places(plan):
+        for value in REPLACEMENTS:
+            (work / "plan.json").write_text(
+                json.dumps(_replaced(plan, place, value)))
+            assert main(argv) in (0, 1, 3), (place, value)

@@ -7,6 +7,7 @@ import pytest
 from ricplan import (
     BaselineInfeasible,
     ClusterState,
+    MigrationPlan,
     ServerSpec,
     SolveLimits,
     SweepSpec,
@@ -88,6 +89,8 @@ def test_undeploy_rejects_bad_counts():
         apply_undeployments(state, {"A": 7})
     with pytest.raises(ValueError, match="negative"):
         apply_undeployments(state, {"A": -1})
+    with pytest.raises(ValueError, match="unknown class 'Z'"):
+        apply_undeployments(state, {"A": 1, "Z": 3})
 
 
 def test_undeploy_policy_override():
@@ -158,7 +161,16 @@ def test_baseline_places_deploys_least_loaded(cal, low_load_state,
     plan = baseline_plan(staged, low_load_params, cal)
     assert plan.mu == (1, 1, 1, 1)
     placed = plan.x["A"][4]
-    assert placed == (0, 0, 1, 0)  # first of the two least-utilized servers
+    assert placed == (0, 0, 1, 0, 0)  # first of the two least-utilized servers
+
+
+def test_baseline_plan_is_a_whole_plan(cal, low_load_state, low_load_params):
+    # every server stays on, so an idle one may break (16) and nothing else
+    staged = stage_deployments(low_load_state, {"A": 1})
+    plan = baseline_plan(staged, low_load_params, cal)
+    problem = build_problem(staged, low_load_params, cal)
+    assert set(validate_plan(problem, plan).violations) <= {"(16)"}
+    assert MigrationPlan.from_dict(plan.to_dict()) == plan
 
 
 def test_baseline_infeasible_when_full(cal):

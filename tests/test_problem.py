@@ -20,6 +20,7 @@ from ricplan import (
     validate_plan,
 )
 from ricplan.problem import (
+    PlanError,
     drain_ok,
     lexmin_transport,
     mip_gap,
@@ -273,7 +274,7 @@ def test_plan_round_trip(cal, low_load_state, low_load_params):
 
 
 def test_plan_from_dict_malformed():
-    with pytest.raises(ValueError, match="malformed"):
+    with pytest.raises(PlanError, match="^plan: missing required key 'x'$"):
         MigrationPlan.from_dict({"mu": [1, 0]})
 
 
