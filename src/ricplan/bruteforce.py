@@ -37,6 +37,8 @@ from .problem import (
     validate_plan,
 )
 
+EVAL_CAP = 10_000_000  # the largest search-space estimate solved
+
 
 class SearchSpaceError(ValueError):
     """Instance too large for exhaustive search; carries the estimate."""
@@ -75,9 +77,10 @@ def solve_bruteforce(problem: SalProblem, limits: SolveLimits = None):
     """Globally optimal plan by enumeration, or an infeasibility report.
 
     Ties on the objective resolve to the first candidate in enumeration
-    order, which is the lexicographically smallest (mu, flattened x).
+    order, which is the lexicographically smallest (mu, flattened x).  The
+    search runs to its end: `limits` is taken for the solvers' common
+    signature only, and an estimate over EVAL_CAP is refused up front.
     """
-    limits = limits or SolveLimits()
     t0 = time.perf_counter()
 
     n = problem.n_servers
@@ -99,8 +102,8 @@ def solve_bruteforce(problem: SalProblem, limits: SolveLimits = None):
         return None, report(STATUS_INFEASIBLE, None, 0, "(21)")
 
     est = search_space_estimate(problem)
-    if est > limits.eval_cap:
-        raise SearchSpaceError(est, limits.eval_cap)
+    if est > EVAL_CAP:
+        raise SearchSpaceError(est, EVAL_CAP)
 
     rows = [(cls, src) for cls in classes for src in range(n + 1)]
     mu_axes = [[1] if not srv.optional_flag else [0, 1]

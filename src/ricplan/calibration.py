@@ -393,6 +393,60 @@ def fit_linear(series: MeasurementSeries) -> LinearFit:
     return LinearFit(slope=float(slope), intercept=float(intercept), rms=rms)
 
 
+FIT_LABELS = (
+    "dotted coefficient path: kpi.<strategy>.<rho|*>.<d|m>, "
+    "sigma.<class>.<rho>.<nu> (series in ms), or sdl_linear.<class>.<metric>; "
+    "rho/nu may be written with a decimal point (1.0)"
+)
+
+
+def fit_fragment(label: str, fit: LinearFit) -> dict:
+    """The calibration fragment that sets the coefficient `label` names
+    (FIT_LABELS) to `fit`: the slope, and the intercept where the leaf is a
+    line.  The label's fields are the block's key kinds in _BLOCKS, then d
+    or m for the downtime or duration half of a kpi line; an axis field
+    joins "1" "0" back into "1.0" while enough tokens follow, so with an
+    odd token left the earlier field binds it.  Each key and number is read
+    as load_calibration reads it (CalibrationError if refused), one field
+    at a time, so a kpi fragment is half a line.
+    """
+    block, *tokens = label.split(".")
+    if block not in ("kpi", "sigma", "sdl_linear"):
+        raise CalibrationError(f"unrecognized label {label!r} ({FIT_LABELS})")
+    _, kinds, leaf = _BLOCKS[block]
+    halves = block == "kpi"
+    path = [block]
+    for kind in kinds:
+        if not tokens:
+            raise CalibrationError(
+                f"label {label!r} is too short ({FIT_LABELS})")
+        after = len(kinds) + halves - len(path)  # fields still to come
+        width = 1 + (kind is _AXIS and len(tokens) >= after + 2
+                     and tokens[0].isdigit() and tokens[1].isdigit())
+        raw = ".".join(tokens[:width])
+        del tokens[:width]
+        _key(kind, raw, ".".join(path))
+        path.append(raw)
+    if halves:
+        if tokens not in (["d"], ["m"]):
+            raise CalibrationError(
+                f"kpi label must end in .d or .m ({label!r}, {FIT_LABELS})")
+        half = "_" + tokens.pop()
+        leaf = {f: read for f, read in leaf.items() if f.endswith(half)}
+    if tokens:
+        raise CalibrationError(
+            f"trailing tokens in label {label!r} ({FIT_LABELS})")
+    where = ".".join(path)
+    if isinstance(leaf, dict):  # a line: its slope field, then its intercept
+        value = {f: read(v, f"{where}.{f}") for (f, read), v
+                 in zip(leaf.items(), (fit.slope, fit.intercept))}
+    else:
+        value = leaf(fit.slope, where)
+    for key in reversed(path):
+        value = {key: value}
+    return value
+
+
 def read_measurement_csv(path, label: str = "") -> MeasurementSeries:
     """Parse a two-column `predictor,response` CSV into a series."""
     with open(path, "r", encoding="utf-8", newline="") as fh:

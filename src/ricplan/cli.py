@@ -21,9 +21,11 @@ import sys
 from pathlib import Path
 
 from .calibration import (
+    FIT_LABELS,
     CalibrationLookupError,
     DegenerateFitError,
     default_calibration,
+    fit_fragment,
     fit_linear,
     load_calibration,
     read_measurement_csv,
@@ -194,67 +196,15 @@ def cmd_validate(args) -> int:
     if result.valid:
         print("valid")
         return 0
-    for label, message in zip(result.violations, result.messages):
-        print(f"violated {label}: {message}")
+    for tag, message in result.breaches:
+        print(f"violated {tag}: {message}")
     return 3
-
-
-_FIT_HELP = (
-    "dotted coefficient path: kpi.<strategy>.<rho|*>.<d|m>, "
-    "sigma.<class>.<rho>.<nu> (series in ms), or sdl_linear.<class>.<metric>; "
-    "rho/nu may be written with a decimal point (1.0)"
-)
-
-
-def _take_number(label: str, rest, fields_after: int):
-    """Pop one numeric field that may span two dot-separated tokens.
-
-    "1.0" arrives split as ("1", "0"); re-join when a token is spare and
-    both halves are digits.  With an odd token left over the earlier field
-    binds it, so write unambiguous labels with matching precision.
-    """
-    if not rest:
-        raise ValueError(f"label {label!r} is too short ({_FIT_HELP})")
-    if (len(rest) >= fields_after + 2 and rest[0].isdigit()
-            and rest[1].isdigit()):
-        return f"{rest[0]}.{rest[1]}", rest[2:]
-    return rest[0], rest[1:]
-
-
-def _fit_fragment(label: str, fit):
-    parts = label.split(".")
-    block, rest = parts[0], parts[1:]
-    if block == "kpi" and len(rest) >= 3:
-        strategy = rest[0]
-        StrategyId(strategy)
-        rho, tail = _take_number(label, rest[1:], 1)
-        if len(tail) != 1 or tail[0] not in ("d", "m"):
-            raise ValueError(
-                f"kpi label must end in .d or .m ({label!r}, {_FIT_HELP})"
-            )
-        which = tail[0]
-        coeffs = {f"delta_{which}": fit.slope, f"b_{which}": fit.intercept}
-        return {"kpi": {strategy: {rho: coeffs}}}
-    if block == "sigma" and len(rest) >= 3:
-        cls = rest[0]
-        rho, tail = _take_number(label, rest[1:], 1)
-        nu, tail = _take_number(label, tail, 0)
-        if tail:
-            raise ValueError(f"trailing tokens in label {label!r} ({_FIT_HELP})")
-        return {"sigma": {cls: {rho: {nu: fit.slope}}}}
-    if block == "sdl_linear" and len(rest) == 2:
-        cls, metric = rest
-        if metric not in ("E", "CPU", "MEM", "DISK"):
-            raise ValueError(f"unknown metric {metric!r}")
-        return {"sdl_linear": {cls: {metric: {"delta": fit.slope,
-                                              "b": fit.intercept}}}}
-    raise ValueError(f"unrecognized label {label!r} ({_FIT_HELP})")
 
 
 def cmd_fit(args) -> int:
     series = read_measurement_csv(args.measurements, label=args.label)
     fit = fit_linear(series)
-    fragment = _fit_fragment(args.label, fit)
+    fragment = fit_fragment(args.label, fit)
     print(json.dumps(_sig6({
         "label": args.label,
         "slope": fit.slope,
@@ -316,7 +266,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fit", help="fit a calibration coefficient")
     p.add_argument("--measurements", required=True,
                    help="two-column predictor,response CSV")
-    p.add_argument("--label", required=True, help=_FIT_HELP)
+    p.add_argument("--label", required=True, help=FIT_LABELS)
     p.set_defaults(fn=cmd_fit)
     return parser
 

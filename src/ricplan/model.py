@@ -467,42 +467,45 @@ def server_energy(outgoing: Mapping[str, int], incoming: Mapping[str, int],
     )
 
 
+def plan_aggregates(plan, n_servers: int):
+    """(o, m, d, h): per class and server, the xApps that leave for another
+    server, arrive from one, are deployed from staging and end the slot
+    there.  The one reader of plan.x, each class's (n+1)x(n+1) matrix whose
+    row and column n are the virtual staging server."""
+    n = n_servers
+    o, m, d, h = {}, {}, {}, {}
+    for cls, rows in plan.x.items():
+        sources = rows[:n]
+        stay = [row[s] for s, row in enumerate(sources)]
+        o[cls] = tuple(sum(row[:n]) - st for row, st in zip(sources, stay))
+        m[cls] = tuple(sum(col) - st for col, st in zip(zip(*sources), stay))
+        d[cls] = tuple(rows[n][:n])
+        h[cls] = tuple(map(sum, zip(stay, m[cls], d[cls])))
+    return o, m, d, h
+
+
 def cluster_energy(plan, state: ClusterState, params: ScenarioParams,
                    cal: CalibrationSet) -> ClusterEnergyResult:
     """Total slot energy of the cluster plus the per-server breakdown.
 
-    `plan` supplies x[class][src][dst] (last index = the virtual staging
-    server) and the activation vector mu.  The staging server itself draws
-    nothing.
+    `plan` supplies the migration matrices (see plan_aggregates) and the
+    activation vector mu.  The staging server itself draws nothing.
     """
     n_srv = len(state.servers)
     classes = state.classes
-
-    totals = {
-        cls: sum(
-            plan.x[cls][src][dst]
-            for src in range(n_srv + 1)
-            for dst in range(n_srv)
-        )
-        for cls in classes
-    }
+    o, m, d, h = plan_aggregates(plan, n_srv)
+    totals = {cls: sum(h[cls]) for cls in classes}
 
     per_server = {}
     total = 0.0
     for s, spec in enumerate(state.servers):
-        outgoing = {
-            cls: sum(plan.x[cls][s][d] for d in range(n_srv) if d != s)
-            for cls in classes
-        }
-        incoming = {
-            cls: sum(plan.x[cls][src][s] for src in range(n_srv) if src != s)
-            for cls in classes
-        }
-        staying = {cls: plan.x[cls][s][s] for cls in classes}
-        new = {cls: plan.x[cls][n_srv][s] for cls in classes}
-        n0_s = {cls: state.initial_counts[cls][s] for cls in classes}
-        e = server_energy(outgoing, incoming, staying, new, n0_s, plan.mu[s],
-                          totals, n_srv, params, cal)
+        e = server_energy(
+            {cls: o[cls][s] for cls in classes},
+            {cls: m[cls][s] for cls in classes},
+            {cls: h[cls][s] - m[cls][s] - d[cls][s] for cls in classes},
+            {cls: d[cls][s] for cls in classes},
+            {cls: state.initial_counts[cls][s] for cls in classes},
+            plan.mu[s], totals, n_srv, params, cal)
         per_server[spec.id] = e
         total += e
     return ClusterEnergyResult(total=total, per_server=per_server)

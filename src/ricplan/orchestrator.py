@@ -34,7 +34,6 @@ from .problem import (
     SolveReport,
     annotate_plan,
     build_problem,
-    plan_aggregates,
     plan_from_aggregates,
     source_window,
     usage,
@@ -131,30 +130,21 @@ def balanced_state(classes: Sequence[XAppClass],
     )
 
 
-def _default_drain_policy(server, hosted_total):
-    # optional servers before mandatory, busiest first, ties by server id
-    return (0 if server.optional_flag else 1, -hosted_total, server.id)
-
-
 def apply_undeployments(state: ClusterState,
-                        n_minus: Mapping[str, int] = None,
-                        policy=None) -> ClusterState:
+                        n_minus: Mapping[str, int] = None) -> ClusterState:
     """Remove xApps ahead of planning, most-loaded optional server first.
 
-    Removal is unit by unit; `policy` maps (server, hosted_total) to a sort
-    key and the lowest key loses the next xApp.  The default drains optional
-    servers before mandatory ones, busiest first, ties by server id, which
-    frees the servers a consolidation pass wants to shut down anyway.
-    Returns a state with the removals folded in and no pending undeploys.
+    Removal is unit by unit: the next xApp leaves an optional server before
+    a mandatory one, the busiest first, ties by server id, which frees the
+    servers a consolidation pass wants to shut down anyway.  Returns a state
+    with the removals folded in and no pending undeploys.
     """
-    if policy is None:
-        policy = _default_drain_policy
     removals = dict(n_minus) if n_minus is not None else dict(state.pending_undeploys)
     for cls in removals:
         if cls not in state.initial_counts:
             raise ValueError(f"undeploy count for unknown class {cls!r}")
     counts = {cls: list(state.initial_counts[cls]) for cls in state.classes}
-    n = len(state.servers)
+    servers = state.servers
     for cls in state.classes:
         want = removals.get(cls, 0)
         if want < 0:
@@ -165,10 +155,11 @@ def apply_undeployments(state: ClusterState,
                 f"{sum(counts[cls])} hosted"
             )
         for _ in range(want):
-            candidates = [s for s in range(n) if counts[cls][s] > 0]
-            candidates.sort(key=lambda s: policy(
-                state.servers[s], sum(counts[c][s] for c in counts)))
-            counts[cls][candidates[0]] -= 1
+            s = min((s for s, k in enumerate(counts[cls]) if k > 0),
+                    key=lambda s: (not servers[s].optional_flag,
+                                   -sum(row[s] for row in counts.values()),
+                                   servers[s].id))
+            counts[cls][s] -= 1
     return dataclasses.replace(
         state,
         initial_counts={cls: tuple(v) for cls, v in counts.items()},
@@ -242,12 +233,12 @@ def baseline_energy(state: ClusterState, params: ScenarioParams,
     return model.cluster_energy(plan, state, params, cal).total
 
 
-def _advance_state(state: ClusterState, problem, plan: MigrationPlan) -> ClusterState:
-    o, m, d, h = plan_aggregates(problem, plan)
+def _advance_state(state: ClusterState, plan: MigrationPlan) -> ClusterState:
+    *_, hosted = model.plan_aggregates(plan, len(state.servers))
     return ClusterState(
         servers=state.servers,
-        initial_counts={cls: tuple(h[cls]) for cls in state.classes},
-        initial_active=tuple(int(v) for v in plan.mu),
+        initial_counts={cls: hosted[cls] for cls in state.classes},
+        initial_active=plan.mu,
         pending_deploys={},
         pending_undeploys={},
     )
@@ -291,7 +282,7 @@ def run_timeslot(state: ClusterState, params: ScenarioParams,
     return SlotResult(
         plan=plan, report=report, baseline_energy=base, energy_gain=gain,
         activation_ratio=plan.activation_ratio,
-        next_state=_advance_state(state, problem, plan),
+        next_state=_advance_state(state, plan),
         baseline_feasible=base_ok,
     )
 

@@ -22,6 +22,7 @@ plus "window": no server's migration window may exceed the slot.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Optional
@@ -52,11 +53,10 @@ STATUS_INFEASIBLE = "infeasible"
 
 @dataclass(frozen=True)
 class SolveLimits:
-    """Solver stopping rules.  eval_cap guards the exhaustive oracle only."""
+    """Solver stopping rules."""
 
     time_limit: float = 300.0
     gap_target: float = 0.0
-    eval_cap: int = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -159,10 +159,11 @@ class MigrationPlan:
     activation_ratio: Optional[float] = None
 
     def __post_init__(self):
-        x = {cls: tuple(tuple(int(v) for v in row) for row in rows)
+        # operator.index takes integers only: 2.9 or "1" is a TypeError
+        x = {cls: tuple(tuple(map(operator.index, row)) for row in rows)
              for cls, rows in self.x.items()}
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "mu", tuple(int(v) for v in self.mu))
+        object.__setattr__(self, "mu", tuple(map(operator.index, self.mu)))
 
     def to_dict(self) -> dict:
         doc = {
@@ -226,9 +227,19 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class ValidationResult:
-    valid: bool
-    violations: tuple
-    messages: tuple
+    """The (tag, message) pair of every breach a plan makes, in the order
+    validate_plan checks them; a tag repeats once per breach."""
+
+    breaches: tuple = ()
+
+    @property
+    def valid(self) -> bool:
+        return not self.breaches
+
+    @property
+    def violations(self) -> tuple:
+        """The tags broken, each once, in the order first broken."""
+        return tuple(dict.fromkeys(tag for tag, _ in self.breaches))
 
     def __bool__(self) -> bool:
         return self.valid
@@ -277,26 +288,7 @@ def identity_plan(problem: SalProblem) -> MigrationPlan:
 
 
 # ---------------------------------------------------------------------------
-# aggregates
-
-def plan_aggregates(problem: SalProblem, plan: MigrationPlan):
-    """Per-(class, server) outgoing/incoming/deploy/hosted counts."""
-    n = problem.n_servers
-    o, m, d, h = {}, {}, {}, {}
-    for cls in problem.classes:
-        rows = plan.x[cls]
-        o[cls] = tuple(
-            sum(rows[s][t] for t in range(n) if t != s) for s in range(n)
-        )
-        m[cls] = tuple(
-            sum(rows[t][s] for t in range(n) if t != s) for s in range(n)
-        )
-        d[cls] = tuple(rows[n][s] for s in range(n))
-        h[cls] = tuple(
-            rows[s][s] + m[cls][s] + d[cls][s] for s in range(n)
-        )
-    return o, m, d, h
-
+# per-server rules
 
 def _resource_participates(problem: SalProblem, mu_s: int, outgoing_s: int) -> bool:
     if problem.params.strategy is StrategyId.SDL:
@@ -367,12 +359,10 @@ def validate_plan(problem: SalProblem, plan: MigrationPlan) -> ValidationResult:
         if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
             raise ValueError(f"plan x[{cls}] must be {n + 1}x{n + 1}")
 
-    violations, messages = [], []
+    breaches = []
 
     def hit(tag: str, msg: str):
-        if tag not in violations:
-            violations.append(tag)
-        messages.append(f"{tag} {msg}")
+        breaches.append((tag, msg))
 
     negative = False
     for cls in classes:
@@ -407,10 +397,9 @@ def validate_plan(problem: SalProblem, plan: MigrationPlan) -> ValidationResult:
 
     if negative:
         # aggregate-based checks are meaningless on corrupt counts
-        return ValidationResult(valid=False, violations=tuple(violations),
-                                messages=tuple(messages))
+        return ValidationResult(tuple(breaches))
 
-    o, m, d, h = plan_aggregates(problem, plan)
+    o, m, d, h = model.plan_aggregates(plan, n)
     servers = problem.state.servers
     mu0 = problem.state.initial_active
 
@@ -473,8 +462,7 @@ def validate_plan(problem: SalProblem, plan: MigrationPlan) -> ValidationResult:
             hit("window", f"{servers[s].id} migration window {w:.6g} s exceeds "
                           f"slot {params.slot_length:.6g} s")
 
-    return ValidationResult(valid=not violations, violations=tuple(violations),
-                            messages=tuple(messages))
+    return ValidationResult(tuple(breaches))
 
 
 def drain_ok(problem: SalProblem, s: int) -> bool:
@@ -505,7 +493,7 @@ def objective_eval(problem: SalProblem, plan: MigrationPlan) -> float:
 def plan_kpis(problem: SalProblem, plan: MigrationPlan) -> KpiBundle:
     n = problem.n_servers
     params, cal = problem.params, problem.cal
-    o, m, d, h = plan_aggregates(problem, plan)
+    o, m, d, h = model.plan_aggregates(plan, n)
     rho = params.rho_mb
     strategy = params.strategy
     downtime, duration, inst = {}, {}, {}

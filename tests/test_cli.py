@@ -501,7 +501,25 @@ def test_validate_negative_count_exits_3(tmp_path, scenario, plan_doc,
     rc = main(["validate", "--scenario", scenario, "--plan", edited])
     assert rc == 3
     assert capsys.readouterr().out == \
-        "violated (19): (19) negative migration count in class A\n"
+        "violated (19): negative migration count in class A\n"
+
+
+def test_validate_prints_every_breach_under_its_tag(tmp_path, capsys):
+    # (12) breaks twice and (17) once: one line each, in the checks' order
+    classes = [{"id": c, "msg_size": 100.0, "msg_period": 1.0} for c in "AB"]
+    doc = low_load_doc(classes=classes, servers=low_load_doc()["servers"][:2],
+                       initial_counts={"A": [2, 1], "B": [1, 1]})
+    scenario = write_json(tmp_path / "scenario.json", doc)
+    plan = write_json(tmp_path / "plan.json", {
+        "mu": [1, 0],
+        "x": {"A": [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+              "B": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}})
+    rc = main(["validate", "--scenario", scenario, "--plan", plan])
+    assert rc == 3
+    assert capsys.readouterr().out == (
+        "violated (12): class A row s1 does not sum to its count\n"
+        "violated (12): class B row s2 does not sum to its count\n"
+        "violated (17): s2 hosts 1 xApps while off\n")
 
 
 def test_fit_exact_line(tmp_path, capsys):
@@ -552,15 +570,54 @@ def test_fit_bad_label_exits_1(tmp_path, capsys):
     assert "label" in capsys.readouterr().err
 
 
-def test_fit_fragment_loads_back(tmp_path, capsys):
+# each label's coefficient, as calibration.lookup finds it
+_FITTED = {
+    "kpi.sm-mr.1.0.d": dict(strategy="sm-mr", rho_mb=1.0, coeff="delta_d"),
+    "kpi.sdl.*.m": dict(strategy="sdl", coeff="delta_m"),
+    "sigma.A.1.0.1.0": dict(cls="A", rho_mb=1.0, nu_s=1.0),
+    "sdl_linear.A.E": dict(cls="A", metric="E", coeff="delta"),
+}
+
+
+@pytest.mark.parametrize("label", _FITTED)
+def test_fit_fragment_loads_back(tmp_path, capsys, label):
     from ricplan import load_calibration
     from ricplan.calibration import lookup
     csv_path = tmp_path / "m.csv"
     csv_path.write_text("predictor,response\n0,1\n10,2\n20,4\n")
+    rc = main(["fit", "--measurements", str(csv_path), "--label", label])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    merged = load_calibration(doc["fragment"])
+    block = label.split(".")[0]
+    assert lookup(merged, block, **_FITTED[label]) == doc["slope"]
+
+
+@pytest.mark.parametrize("label, response, message", [
+    ("kpi.sm-mr.x.d", "0,1\n10,2\n20,4",
+     "kpi.sm-mr: bad numeric key 'x'"),
+    ("kpi.sm-mr.1.0.d", "0,4\n10,2\n20,1",
+     "kpi.sm-mr.1.0.delta_d: slope must be >= 0"),
+    ("sigma.A.1.0.1.0", "0,4\n10,2\n20,1",
+     "sigma.A.1.0.1.0: must be >= 0, got -0.15"),
+], ids=["bad-axis-key", "falling-kpi", "falling-sigma"])
+def test_fit_refuses_what_calibration_refuses(tmp_path, capsys, label,
+                                              response, message):
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text(f"predictor,response\n{response}\n")
+    rc = main(["fit", "--measurements", str(csv_path), "--label", label])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_fit_falling_backend_share_is_accepted(tmp_path, capsys):
+    # backend-share slopes may be negative, as in the shipped tables
+    from ricplan import load_calibration
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text("predictor,response\n0,4\n10,2\n20,1\n")
     rc = main(["fit", "--measurements", str(csv_path),
                "--label", "sdl_linear.A.E"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
-    merged = load_calibration(doc["fragment"])
-    assert lookup(merged, "sdl_linear", cls="A", metric="E",
-                  coeff="delta") == doc["slope"]
+    assert doc["slope"] < 0
+    load_calibration(doc["fragment"])

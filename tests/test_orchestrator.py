@@ -93,16 +93,6 @@ def test_undeploy_rejects_bad_counts():
         apply_undeployments(state, {"A": 1, "Z": 3})
 
 
-def test_undeploy_policy_override():
-    state = opt_opt_mand((3, 2, 1))
-    # inverted policy: drain mandatory servers first
-    out = apply_undeployments(
-        state, {"A": 2},
-        policy=lambda srv, hosted: (0 if not srv.optional_flag else 1,
-                                    -hosted, srv.id))
-    assert out.initial_counts["A"] == (2, 2, 0)
-
-
 def test_stage_deployments_replaces():
     state = opt_opt_mand((1, 1, 1))
     once = stage_deployments(state, {"A": 2})

@@ -24,7 +24,6 @@ from ricplan.problem import (
     drain_ok,
     lexmin_transport,
     mip_gap,
-    plan_aggregates,
     plan_from_aggregates,
     source_downtime,
     source_window,
@@ -73,7 +72,7 @@ def test_hosting_on_off_server_names_17(cal):
     verdict = validate_plan(problem, plan)
     assert not verdict.valid
     assert "(17)" in verdict.violations
-    assert any("hosts" in m for m in verdict.messages)
+    assert any("hosts" in m for _, m in verdict.breaches)
 
 
 def test_empty_powered_optional_names_16(cal):
@@ -104,7 +103,7 @@ def test_unplaced_deployment_names_14(cal):
     problem = build_problem(two_server_state(deploys=2), make_params("sm-mr"), cal)
     verdict = validate_plan(problem, identity_plan(problem))
     assert "(14)" in verdict.violations
-    assert any("0 of 2" in m for m in verdict.messages)
+    assert any("0 of 2" in m for _, m in verdict.breaches)
 
 
 def test_placed_deployment_passes(cal):
@@ -133,7 +132,7 @@ def test_mandatory_off_names_19(cal):
     plan = MigrationPlan(x=plan.x, mu=(0, 1))
     verdict = validate_plan(problem, plan)
     assert "(19)" in verdict.violations
-    assert any("mandatory" in m for m in verdict.messages)
+    assert any("mandatory" in m for _, m in verdict.breaches)
 
 
 def test_negative_entry_names_19(cal):
@@ -152,7 +151,7 @@ def test_capacity_breach_names_18(cal):
     plan = MigrationPlan(x=base.x, mu=(1, 0))
     verdict = validate_plan(problem, plan)
     assert "(18)" in verdict.violations
-    assert any("CPU" in m for m in verdict.messages)
+    assert any("CPU" in m for _, m in verdict.breaches)
 
 
 def test_downtime_budget_names_20(cal):
@@ -213,7 +212,7 @@ def test_plan_aggregates(cal):
     base = identity_plan(problem)
     plan = edit(edit(base, "A", 0, 0, -1), "A", 0, 1, +1)
     plan = edit(plan, "A", 2, 1, +1)
-    o, m, d, h = plan_aggregates(problem, plan)
+    o, m, d, h = model.plan_aggregates(plan, problem.n_servers)
     assert o["A"] == (1, 0)
     assert m["A"] == (0, 1)
     assert d["A"] == (0, 1)
@@ -245,7 +244,7 @@ def test_plan_from_aggregates_round_trip(cal):
     problem = build_problem(two_server_state(deploys=1), make_params("sm-mr"), cal)
     plan = plan_from_aggregates(problem, (1, 1), outgoing={"A": (1, 0)},
                                 incoming={"A": (0, 1)}, deploys={"A": (0, 1)})
-    o, m, d, h = plan_aggregates(problem, plan)
+    o, m, d, h = model.plan_aggregates(plan, problem.n_servers)
     assert (o["A"], m["A"], d["A"]) == ((1, 0), (0, 1), (0, 1))
     assert validate_plan(problem, plan).valid
 
@@ -276,6 +275,17 @@ def test_plan_round_trip(cal, low_load_state, low_load_params):
 def test_plan_from_dict_malformed():
     with pytest.raises(PlanError, match="^plan: missing required key 'x'$"):
         MigrationPlan.from_dict({"mu": [1, 0]})
+
+
+@pytest.mark.parametrize("x, mu", [
+    ({"A": [[2.9, 0], [0, 0]]}, [1]),
+    ({"A": [[2, 0], [0, 0]]}, [0.6]),
+    ({"A": [[2, 0], [0, 0]]}, ["1"]),
+], ids=["fractional-count", "fractional-mu", "string-mu"])
+def test_plan_constructor_rejects_non_integers(x, mu):
+    # truncating would hand the validator a plan nobody wrote
+    with pytest.raises(TypeError):
+        MigrationPlan(x=x, mu=mu)
 
 
 def test_objective_matches_annotation(cal, low_load_state, low_load_params):

@@ -24,7 +24,7 @@ from ricplan import (
     solve_greedy,
     validate_plan,
 )
-from ricplan import bnb
+from ricplan import bnb, bruteforce
 from ricplan.bruteforce import SearchSpaceError
 from ricplan.orchestrator import SweepSpec, balanced_state, mix_counts
 from ricplan.problem import (
@@ -87,10 +87,12 @@ def test_bruteforce_capacity_infeasible(cal):
     assert report.status == STATUS_INFEASIBLE
 
 
-def test_bruteforce_refuses_oversize(cal, low_load_state, low_load_params):
+def test_bruteforce_refuses_oversize(cal, low_load_state, low_load_params,
+                                    monkeypatch):
     problem = build_problem(low_load_state, low_load_params, cal)
+    monkeypatch.setattr(bruteforce, "EVAL_CAP", 10)
     with pytest.raises(SearchSpaceError, match=r"\d"):
-        solve_bruteforce(problem, SolveLimits(eval_cap=10))
+        solve_bruteforce(problem, SolveLimits())
 
 
 # branch and bound
