@@ -453,8 +453,7 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
         feas = model.sdl_feasible(problem.totals, params, cal)
         if not feas.feasible:
             return None, SolveReport(
-                status=STATUS_INFEASIBLE, objective=None,
-                lower_bound=math.inf, mip_gap=math.inf,
+                status=STATUS_INFEASIBLE, objective=None, lower_bound=math.inf,
                 runtime=time.perf_counter() - t0, nodes_explored=0,
                 detail="(21) backend maintenance budget", trace=(),
             )
@@ -482,7 +481,8 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
 
     def finalize(status, detail="", lb=None):
         plan = incumbent
-        if plan is not None:
+        # greedy's seed comes annotated; only the plans bnb built need it
+        if plan is not None and plan.energy_total is None:
             plan = annotate_plan(problem, plan)
         obj = None if plan is None else inc_obj
         if status == STATUS_OPTIMAL:
@@ -492,7 +492,7 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
         trace.append(("bound", time.perf_counter() - t0, lb))
         return plan, SolveReport(
             status=status, objective=obj, lower_bound=lb,
-            mip_gap=mip_gap(obj, lb), runtime=time.perf_counter() - t0,
+            runtime=time.perf_counter() - t0,
             nodes_explored=nodes, detail=detail, trace=tuple(trace),
         )
 

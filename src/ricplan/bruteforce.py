@@ -32,7 +32,6 @@ from .problem import (
     annotate_plan,
     drain_ok,
     identity_plan,
-    mip_gap,
     objective_eval,
     validate_plan,
 )
@@ -91,7 +90,7 @@ def solve_bruteforce(problem: SalProblem, limits: SolveLimits = None):
         lb = objective if objective is not None else math.inf
         return SolveReport(
             status=status, objective=objective, lower_bound=lb,
-            mip_gap=mip_gap(objective, lb), runtime=time.perf_counter() - t0,
+            runtime=time.perf_counter() - t0,
             nodes_explored=nodes, detail=detail,
         )
 

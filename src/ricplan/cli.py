@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .calibration import (
     FIT_LABELS,
+    CalibrationError,
     CalibrationLookupError,
     DegenerateFitError,
     default_calibration,
@@ -212,6 +213,11 @@ def cmd_fit(args) -> int:
         "rms": fit.rms,
         "fragment": fragment,
     }), sort_keys=True, indent=2))
+    try:  # half a kpi line at a state size the tables lack
+        load_calibration(fragment)
+    except CalibrationError as exc:
+        print(f"note: the fragment does not load by itself ({exc}); merge "
+              "the .d and .m fragments before --calibration", file=sys.stderr)
     return 0
 
 

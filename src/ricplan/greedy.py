@@ -31,7 +31,7 @@ from .problem import (
 def _heuristic_report(t0, objective, status, detail=""):
     return SolveReport(
         status=status, objective=objective, lower_bound=-math.inf,
-        mip_gap=math.inf, runtime=time.perf_counter() - t0, nodes_explored=0,
+        runtime=time.perf_counter() - t0, nodes_explored=0,
         detail=detail or "heuristic solution, no optimality bound",
     )
 

@@ -232,7 +232,6 @@ class SdlFeasibility:
     feasible: bool
     defrag_downtime: float
     active_time: float
-    defrag_margin: float
 
 
 class ResourceUsage(NamedTuple):
@@ -324,12 +323,7 @@ def sdl_feasible(counts: Mapping[str, int], params: ScenarioParams,
     t_df = defrag_downtime(counts, cal, params.rho_mb, params.maintenance_period)
     active = params.maintenance_period - t_df
     ok = t_df < params.max_defrag_downtime and active > 0.0
-    return SdlFeasibility(
-        feasible=ok,
-        defrag_downtime=t_df,
-        active_time=active,
-        defrag_margin=params.max_defrag_downtime - t_df,
-    )
+    return SdlFeasibility(feasible=ok, defrag_downtime=t_df, active_time=active)
 
 
 # ---------------------------------------------------------------------------

@@ -203,11 +203,14 @@ class SolveReport:
     status: str  # optimal | gap_reached | time_limit | infeasible
     objective: Optional[float]
     lower_bound: float
-    mip_gap: float
     runtime: float
     nodes_explored: int
     detail: str = ""
     trace: tuple = field(default_factory=tuple, repr=False, compare=False)
+
+    @property
+    def mip_gap(self) -> float:
+        return mip_gap(self.objective, self.lower_bound)
 
     def to_dict(self) -> dict:
         def _num(v):
@@ -537,59 +540,42 @@ def annotate_plan(problem: SalProblem, plan: MigrationPlan) -> MigrationPlan:
 # ---------------------------------------------------------------------------
 # assembling x from aggregated decisions
 
-def _transport_feasible(src, dst, row_rem, col_rem):
-    """Can the remaining supplies still reach the remaining demands?
-
-    Row `src` may only use columns after `dst` (minus its own); rows after it
-    may use every column but their own; earlier rows are exhausted.  With one
-    forbidden cell per row, Hall's condition reduces to a handful of subset
-    checks: any union of two unrestricted rows already covers all columns.
-    """
-    n = len(col_rem)
-    total = sum(col_rem)
-    if sum(row_rem[src:]) != total:
-        return False
-    tail = sum(col_rem[j] for j in range(dst + 1, n) if j != src)
-    if row_rem[src] > tail:
-        return False
-    for i in range(src + 1, n):
-        if row_rem[i] + col_rem[i] > total:
-            return False
-        if i <= dst and row_rem[src] + row_rem[i] > total - col_rem[i]:
-            return False
-    return True
-
-
 def lexmin_transport(outgoing, incoming):
     """Smallest (in flattened lexicographic order) migration matrix moving
     `outgoing[s]` units out of each server and `incoming[s]` units in, with
     no self-arcs.  Returns a square matrix with a zero diagonal.
+
+    Such a matrix exists iff the counts are non-negative and balance and no
+    server needs more than the others can trade with it, o[s] + m[s] <=
+    sum(o): Hall's condition with one forbidden cell per row (Gale 1957).
+    The cells are then fixed in row-major order, each at the least value
+    that leaves the rest realizable; r and c are the row and column sums
+    still to place and `total` their sum.  Two conditions bound a cell from
+    below: row src must still fit into its later columns, and when dst >
+    src, column dst can only be filled by the later rows other than row dst,
+    which hold total - r[src] - r[dst].  Every other condition only caps
+    the cell, and a realizable state leaves some value, so the larger lower
+    bound is the cell's value.
     """
     n = len(outgoing)
-    row_rem = list(outgoing)
-    col_rem = list(incoming)
-    if not _transport_feasible(0, -1, row_rem, col_rem):
+    total = sum(outgoing)
+    if total != sum(incoming) or any(o < 0 or m < 0 or o + m > total
+                                     for o, m in zip(outgoing, incoming)):
         raise ValueError("aggregated migration counts are unrealizable")
+    r, c = list(outgoing), list(incoming)
     t = [[0] * n for _ in range(n)]
     for src in range(n):
         for dst in range(n):
             if dst == src:
                 continue
-            hi = min(row_rem[src], col_rem[dst])
-            chosen = None
-            for v in range(hi + 1):
-                row_rem[src] -= v
-                col_rem[dst] -= v
-                if _transport_feasible(src, dst, row_rem, col_rem):
-                    chosen = v
-                    break
-                row_rem[src] += v
-                col_rem[dst] += v
-            if chosen is None:
-                raise ValueError("aggregated migration counts are unrealizable")
-            t[src][dst] = chosen
-    if any(row_rem) or any(col_rem):
-        raise ValueError("aggregated migration counts are unrealizable")
+            tail = sum(c[dst + 1:]) - (c[src] if src > dst else 0)
+            v = max(0, r[src] - tail)
+            if dst > src:
+                v = max(v, r[src] + r[dst] + c[dst] - total)
+            t[src][dst] = v
+            r[src] -= v
+            c[dst] -= v
+            total -= v
     return t
 
 

@@ -610,6 +610,26 @@ def test_fit_refuses_what_calibration_refuses(tmp_path, capsys, label,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("label, note", [
+    ("kpi.sm-mr.5.0.d",
+     "note: the fragment does not load by itself (kpi.sm-mr.5.0: missing "
+     "required key 'delta_m'); merge the .d and .m fragments before "
+     "--calibration\n"),
+    ("kpi.sm-mr.1.0.d", ""),
+], ids=["new-state-size", "tabulated-state-size"])
+def test_fit_notes_a_half_line_that_needs_merging(tmp_path, capsys, label,
+                                                  note):
+    # half a kpi line loads only where the tables hold the other half
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text("predictor,response\n0,1\n10,2\n20,4\n")
+    rc = main(["fit", "--measurements", str(csv_path), "--label", label])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["fragment"]["kpi"]["sm-mr"] == {
+        label.split(".", 2)[2][:-2]: {"b_d": 0.833333, "delta_d": 0.15}}
+    assert err == note
+
+
 def test_fit_falling_backend_share_is_accepted(tmp_path, capsys):
     # backend-share slopes may be negative, as in the shipped tables
     from ricplan import load_calibration

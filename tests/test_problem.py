@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import itertools
 import math
 
 import pytest
@@ -240,6 +241,75 @@ def test_lexmin_transport_unrealizable():
         lexmin_transport([1, 0], [1, 0])
 
 
+def _compositions(total, parts):
+    """Every tuple of `parts` non-negative ints summing to `total`."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [(v,) + rest for v in range(total + 1)
+            for rest in _compositions(total - v, parts - 1)]
+
+
+def _brute_lexmin(outgoing, incoming):
+    """The lex-min transport by enumeration, or None if there is none."""
+    n = len(outgoing)
+    best = None
+    rows = [_compositions(o, n - 1) for o in outgoing]
+    for choice in itertools.product(*rows):
+        t = [list(row[:s]) + [0] + list(row[s:])
+             for s, row in enumerate(choice)]
+        if [sum(col) for col in zip(*t)] != list(incoming):
+            continue
+        if best is None or sum(t, []) < sum(best, []):
+            best = t
+    return best
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lexmin_transport_matches_enumeration(n):
+    for outgoing in itertools.product(range(4), repeat=n):
+        for incoming in itertools.product(range(4), repeat=n):
+            want = _brute_lexmin(outgoing, incoming)
+            if want is None:
+                with pytest.raises(ValueError, match="unrealizable"):
+                    lexmin_transport(list(outgoing), list(incoming))
+            else:
+                assert lexmin_transport(list(outgoing),
+                                        list(incoming)) == want
+
+
+@st.composite
+def transport_counts(draw):
+    """Row and column sums of a random transport, each count then shifted
+    by -1..1, so both realizable and unrealizable pairs come up."""
+    n = draw(st.integers(1, 8))
+    cells = st.integers(0, 3)
+    t = [[0 if i == j else draw(cells) for j in range(n)] for i in range(n)]
+    shift = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+    outgoing = [sum(row) + d for row, d in zip(t, draw(shift))]
+    incoming = [sum(col) + d for col, d in zip(zip(*t), draw(shift))]
+    return outgoing, incoming
+
+
+@settings(max_examples=300, deadline=None)
+@given(transport_counts())
+def test_lexmin_transport_realizes_exactly_under_hall(counts):
+    outgoing, incoming = counts
+    total = sum(outgoing)
+    hall = total == sum(incoming) and all(
+        o >= 0 and m >= 0 and o + m <= total
+        for o, m in zip(outgoing, incoming))
+    if not hall:
+        with pytest.raises(ValueError, match="unrealizable"):
+            lexmin_transport(outgoing, incoming)
+        return
+    t = lexmin_transport(outgoing, incoming)
+    n = len(outgoing)
+    assert all(v >= 0 for row in t for v in row)
+    assert all(t[s][s] == 0 for s in range(n))
+    assert [sum(row) for row in t] == outgoing
+    assert [sum(col) for col in zip(*t)] == incoming
+
+
 def test_plan_from_aggregates_round_trip(cal):
     problem = build_problem(two_server_state(deploys=1), make_params("sm-mr"), cal)
     plan = plan_from_aggregates(problem, (1, 1), outgoing={"A": (1, 0)},
@@ -303,8 +373,8 @@ def test_mip_gap():
 
 def test_report_to_dict_nonfinite():
     rep = SolveReport(status="infeasible", objective=None,
-                      lower_bound=math.inf, mip_gap=math.inf,
-                      runtime=0.5, nodes_explored=3, detail="x")
+                      lower_bound=math.inf, runtime=0.5, nodes_explored=3,
+                      detail="x")
     doc = rep.to_dict()
     assert doc["objective_j"] is None
     assert doc["lower_bound_j"] is None
