@@ -11,14 +11,17 @@ always a true, feasible plan energy.
 
 Each solve builds one `_Solve`, which holds the problem's constants, the
 column layout and the node LP, its matrix written row by row; a node is a
-box `lo`, `hi` over its node vector (o | m | d | mu).  Per node `_solve_lp`
-writes only the column bounds, the envelope coefficients `env` and the
-envelope and downtime right-hand sides.  Every node LP goes through the
+box `lo`, `hi` over its node vector (o | m | d | mu).  Only the column
+bounds, the envelope coefficients `env` and the envelope and downtime
+right-hand sides depend on the node, and each of them belongs to one server:
+`_solve_lp` keeps per server the last box it saw and rewrites a server's
+values only when its box changed.  Every node LP goes through the
 module-level name `linprog`, looked up at each call.  Each solve keeps one
 live HiGHS model, through scipy's bundled binding: the first LP loads the
 skeleton (presolve on, dual simplex, as `scipy.optimize.linprog(method=
-"highs")` sets); every LP, the first included, pushes those node-dependent
-values and solves, from the previous basis after the first.  A point
+"highs")` sets); every LP pushes only the node-dependent values that differ
+from those last pushed (all of them on the first LP and after a failed
+push) and solves, from the previous basis after the first.  A point
 counts as optimal only if it passes linprog's residual check.  A warm start
 can land on a different optimal vertex than a cold solve of the same LP, so
 the LP value does not depend on the nodes solved before (beyond rounding),
@@ -43,6 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import time
 from types import SimpleNamespace
 
@@ -102,24 +106,30 @@ class _Solve:
     not in use).  A node vector (o | m | d | mu) holds the A aggregates at
     their LP columns and the S activations after them: `node_cols` maps
     each entry to its LP column, and `at[s]` lists server s's entries (its
-    o, m and d per class, then its activation).
+    o, m and d per class, then its activation).  `pick[s]` reads server s's
+    entries of a node vector as one tuple, and `server_cols[s]` holds their
+    LP columns.
 
     LP: minimise c.x subject to M x <= rhs on the first m_ub rows, M x ==
     rhs on the rest, and lb <= x <= ub.  M is held row-wise, as HiGHS takes
     it: row i's columns are index[starts[i]:starts[i + 1]], its coefficients
     the same slice of data.  Only the column bounds, the 6*S McCormick
     coefficients env (at row env_at[0], column env_at[1]; data holds a
-    placeholder there) and the right-hand sides rhs[node_rows] (2*S
-    envelope rows, then the S downtime rows outside sdl) depend on the node;
-    `_solve_lp` writes those before each solve, and `linprog` pushes them
-    into `highs`, the solve's live HiGHS model.
+    placeholder there) and the right-hand sides rhs[node_rows] depend on
+    the node.  env holds 6 entries per server and node_rows one row of
+    entries per server (its 2 envelope rows, then its downtime row outside
+    sdl).  `_solve_lp` writes those before each solve, server by server:
+    `boxes[s]` is the last box of server s it saw and whether that box
+    passed the slot prune, one entry per server.  `linprog` pushes them
+    into `highs`, the solve's live HiGHS model; `sent` holds copies of the
+    values it last pushed (None: push them all).
     """
 
     __slots__ = ("problem", "co", "K", "S", "A", "n0", "pend", "pool",
                  "n_tot", "use_tm", "use_ti", "o", "m", "d", "w", "p", "z",
-                 "mu", "tm", "ti", "node_cols", "at",
+                 "mu", "tm", "ti", "node_cols", "at", "pick", "server_cols",
                  "c", "starts", "index", "data", "rhs", "lb", "ub", "m_ub",
-                 "env", "env_at", "node_rows", "highs")
+                 "env", "env_at", "node_rows", "highs", "boxes", "sent")
 
 
 def _context(problem: SalProblem):
@@ -146,6 +156,9 @@ def _context(problem: SalProblem):
         (ctx.o.ravel(), ctx.m.ravel(), ctx.d.ravel(), ctx.mu))
     ctx.at = tuple(zip(ctx.o.T.tolist(), ctx.m.T.tolist(), ctx.d.T.tolist(),
                        range(ctx.A, ctx.A + S)))
+    entries = [[*o_s, *m_s, *d_s, a] for o_s, m_s, d_s, a in ctx.at]
+    ctx.pick = [operator.itemgetter(*e) for e in entries]
+    ctx.server_cols = [ctx.node_cols[e] for e in entries]
     ctx.c = np.zeros(cols.size)
     _node_lp(ctx)
     return ctx
@@ -202,7 +215,7 @@ def _node_lp(ctx):
             if ctx.pool[k] > 0:
                 row(0.0, (o[k][s], 1.0), (m[k][s], 1.0),
                     *((j, -1.0) for j in o[k]))
-    env, env_rows, down_rows = [], [], []
+    env, node_rows = [], []
     for s, (o_s, m_s, d_s, _) in enumerate(ctx.at):
         aggs = list(zip(o_s, m_s, d_s))
         if servers[s].optional_flag:
@@ -218,7 +231,7 @@ def _node_lp(ctx):
                 *(e for k, (i, j, l) in enumerate(aggs)
                   for e in ((i, -load[k]), (j, load[k]), (l, load[k]))))
         if not sdl:
-            down_rows.append(len(rhs))
+            down = len(rhs)
             row(nan, *((i, co.kpi["delta_d"]) for i in o_s))
         # McCormick envelope for z = W * P
         first = len(rhs)
@@ -228,7 +241,7 @@ def _node_lp(ctx):
         row(nan, (p[s], one), (w[s], one), (z[s], -1.0))
         env += [(first, p[s]), (first, w[s]), (first + 1, w[s]),
                 (first + 2, w[s]), (first + 3, p[s]), (first + 3, w[s])]
-        env_rows += [first, first + 3]
+        node_rows.append([first, first + 3] + ([] if sdl else [down]))
     m_ub = len(rhs)
     for k in range(K):
         row(0.0, *((j, 1.0) for j in o[k]), *((j, -1.0) for j in m[k]))
@@ -248,9 +261,11 @@ def _node_lp(ctx):
 
     ctx.starts, ctx.index, ctx.data = starts, index, data
     ctx.env_at = np.array(env).T
-    ctx.node_rows = np.array(env_rows + down_rows)
+    ctx.env = np.zeros(len(env))
+    ctx.node_rows = np.array(node_rows)
     ctx.m_ub, ctx.rhs, ctx.highs = m_ub, np.array(rhs), None
     ctx.lb, ctx.ub = np.zeros(nv), np.zeros(nv)
+    ctx.boxes, ctx.sent = [(None, False)] * S, None
 
 
 def _root_node(ctx):
@@ -268,50 +283,14 @@ def _solve_lp(ctx, node):
     """LP relaxation of the node: (value, x); (None, None) when the box is
     proven infeasible, and (-inf, None) when the LP failed and proves
     nothing."""
-    problem, n0, n_tot = ctx.problem, ctx.n0, ctx.n_tot
-    p_e, q_e = ctx.co.loads["E"], ctx.co.idle["E"]
-    slot = problem.params.slot_length
     lo, hi = node.lo, node.hi
-    w_hi, p_lo, p_hi = np.zeros((3, ctx.S))
-    for s, (o_s, m_s, d_s, a) in enumerate(ctx.at):
-        o_lo, o_hi = [lo[i] for i in o_s], [hi[i] for i in o_s]
-        d_lo, d_hi = [lo[i] for i in d_s], [hi[i] for i in d_s]
-        # the lowest and highest window in the box, at its two corners
-        if exceeds(source_window(problem, o_lo, d_lo), slot):
+    for s, pick in enumerate(ctx.pick):
+        box = pick(lo), pick(hi)
+        seen = ctx.boxes[s]
+        if seen[0] != box:
+            seen = ctx.boxes[s] = box, _write_server(ctx, s, *box)
+        if not seen[1]:
             return None, None  # every point in the box blows the slot
-        w_hi[s] = min(allowance(slot), source_window(problem, o_hi, d_hi))
-        pl = q_e * lo[a]
-        ph = q_e * hi[a]
-        for k, m in enumerate(m_s):
-            h_lo = max(0, n0[k][s] - o_hi[k]) + lo[m] + d_lo[k]
-            h_hi = min(n0[k][s] - o_lo[k] + hi[m] + d_hi[k], n_tot[k])
-            pl += p_e[k] * h_lo
-            ph += p_e[k] * h_hi
-        p_lo[s] = min(pl, ph)
-        p_hi[s] = ph
-
-    lb, ub = ctx.lb, ctx.ub
-    lb[ctx.node_cols], ub[ctx.node_cols] = lo, hi
-    ub[ctx.w] = w_hi
-    lb[ctx.p], ub[ctx.p] = p_lo, p_hi
-    ub[ctx.z] = w_hi * p_hi
-    # an indicator must be on when its aggregate's lo > 0, may be when hi > 0
-    for use, ind, agg in ((ctx.use_tm, ctx.tm, ctx.o),
-                          (ctx.use_ti, ctx.ti, ctx.d)):
-        if use:
-            lb[ind], ub[ind] = lb[agg] > 0, ub[agg] != 0
-    ctx.env = np.column_stack(
-        (-w_hi, -p_lo, -p_hi, p_lo, w_hi, p_hi)).ravel()
-    rhs = [np.column_stack((-w_hi * p_lo, w_hi * p_hi)).ravel()]
-    if problem.params.strategy is not StrategyId.SDL:
-        # a class leaving s adds at least delta_d * o[k] + b_d to its
-        # downtime, and the validator grants T up to allowance(T), so
-        # sum_k delta_d * o[k] <= allowance(T) - b_d * #{k : o[k] > 0}:
-        # for b_d < 0 count every class that may leave, else drop the term
-        may_leave = np.count_nonzero(ub[ctx.o], axis=0)
-        rhs.append(allowance(problem.params.max_sm_downtime)
-                   - min(ctx.co.kpi["b_d"], 0.0) * may_leave)
-    ctx.rhs[ctx.node_rows] = np.concatenate(rhs)
 
     res = linprog(ctx)
     if res.status == 2:
@@ -321,6 +300,53 @@ def _solve_lp(ctx, node):
     return float(res.fun), res.x
 
 
+def _write_server(ctx, s, lo, hi):
+    """Write server s's part of the node LP for the box `lo`, `hi` of its
+    entries (in `pick[s]` order); False, writing nothing, when every point
+    in the box blows the slot."""
+    problem, K, n_tot = ctx.problem, ctx.K, ctx.n_tot
+    p_e, q_e = ctx.co.loads["E"], ctx.co.idle["E"]
+    slot = problem.params.slot_length
+    o_lo, m_lo, d_lo = lo[:K], lo[K:2 * K], lo[2 * K:3 * K]
+    o_hi, m_hi, d_hi = hi[:K], hi[K:2 * K], hi[2 * K:3 * K]
+    # the lowest and highest window in the box, at its two corners
+    if exceeds(source_window(problem, o_lo, d_lo), slot):
+        return False
+    w_hi = min(allowance(slot), source_window(problem, o_hi, d_hi))
+    pl = q_e * lo[-1]
+    ph = q_e * hi[-1]
+    for k in range(K):
+        n0 = ctx.n0[k][s]
+        pl += p_e[k] * (max(0, n0 - o_hi[k]) + m_lo[k] + d_lo[k])
+        ph += p_e[k] * min(n0 - o_lo[k] + m_hi[k] + d_hi[k], n_tot[k])
+    p_lo, p_hi = min(pl, ph), ph
+
+    lb, ub = ctx.lb, ctx.ub
+    cols = ctx.server_cols[s]
+    lb[cols], ub[cols] = lo, hi
+    ub[ctx.w[s]] = w_hi
+    lb[ctx.p[s]], ub[ctx.p[s]] = p_lo, p_hi
+    ub[ctx.z[s]] = w_hi * p_hi
+    # an indicator must be on when its aggregate's lo > 0, may be when hi > 0
+    for use, ind, agg_lo, agg_hi in ((ctx.use_tm, ctx.tm, o_lo, o_hi),
+                                     (ctx.use_ti, ctx.ti, d_lo, d_hi)):
+        if use:
+            lb[ind[:, s]] = [v > 0 for v in agg_lo]
+            ub[ind[:, s]] = [v != 0 for v in agg_hi]
+    ctx.env[6 * s:6 * s + 6] = -w_hi, -p_lo, -p_hi, p_lo, w_hi, p_hi
+    rhs = [-w_hi * p_lo, w_hi * p_hi]
+    if problem.params.strategy is not StrategyId.SDL:
+        # a class leaving s adds at least delta_d * o[k] + b_d to its
+        # downtime, and the validator grants T up to allowance(T), so
+        # sum_k delta_d * o[k] <= allowance(T) - b_d * #{k : o[k] > 0}:
+        # for b_d < 0 count every class that may leave, else drop the term
+        may_leave = sum(1 for v in o_hi if v)
+        rhs.append(allowance(problem.params.max_sm_downtime)
+                   - min(ctx.co.kpi["b_d"], 0.0) * may_leave)
+    ctx.rhs[ctx.node_rows[s]] = rhs
+    return True
+
+
 # `linprog` is the one entry of every node LP.  `_solve_lp` looks the name up
 # at each call, so a caller can wrap it.
 def linprog(lp):
@@ -328,61 +354,81 @@ def linprog(lp):
 
     The first call loads the skeleton of `lp` into a new HiGHS instance,
     held in `lp.highs`; if HiGHS rejects the model, `lp.highs` is False and
-    every LP of the solve reads status 4 without loading again.  Every call,
-    the first included, pushes the column bounds, the envelope coefficients
-    `lp.env` and the right-hand sides of `lp.node_rows`, then solves, from
-    the previous basis after the first.
+    every LP of the solve reads status 4 without loading again.  Every call
+    pushes the column bounds, the envelope coefficients `lp.env` and the
+    right-hand sides of `lp.node_rows` that differ from those it last
+    pushed (all of them on the first call and after a failed push), then
+    solves, from the previous basis after the first.
     Returns .status in scipy.optimize.linprog's codes (0 optimal, 1
     iteration or time limit, 2 infeasible, 3 unbounded, 4 anything else,
     including an optimum whose point fails linprog's residual check),
     .success (status 0), .fun and .x.  scipy is imported on the first call,
     not with the package.
     """
-    core, options = _highspy()
+    core, options, codes = _highspy()
     if lp.highs is None:
         lp.highs = _load(core, options, lp) or False
-    highs, n = lp.highs, len(lp.c)
+    highs = lp.highs
     status, fun, x = 4, None, None
-    if highs is not False:
-        statuses = [highs.changeColsBounds(n, np.arange(n, dtype=np.int32),
-                                           lp.lb, lp.ub)]
-        statuses += map(highs.changeCoeff, *lp.env_at, lp.env)
-        statuses += map(highs.changeRowBounds, lp.node_rows,
-                        itertools.repeat(-np.inf), lp.rhs[lp.node_rows])
-        # every node pushes all of these, so a failed push spoils one node
-        if core.HighsStatus.kError not in statuses:
-            highs.run()
-            status = _STATUS.get(highs.getModelStatus().name, 4)
+    if highs is not False and _push(core, highs, lp):
+        highs.run()
+        status = codes.get(highs.getModelStatus(), 4)
     if status == 0:
-        fun = highs.getInfo().objective_function_value
+        fun = highs.getObjectiveValue()
         sol = highs.getSolution()
         x = np.array(sol.col_value)
         slack = lp.rhs - np.array(sol.row_value)
         tol = _RESIDUAL_TOL
-        if not (fun == fun and np.all(x >= lp.lb - tol)
-                and np.all(x <= lp.ub + tol)
-                and np.all(slack[:lp.m_ub] >= -tol)
-                and np.all(np.abs(slack[lp.m_ub:]) <= tol)):
+        if not (fun == fun and (lp.lb - x).max() <= tol
+                and (x - lp.ub).max() <= tol
+                and slack[:lp.m_ub].min() >= -tol
+                and np.abs(slack[lp.m_ub:]).max() <= tol):
             status = 4
     return SimpleNamespace(status=status, success=status == 0, fun=fun, x=x)
 
 
+def _push(core, highs, lp):
+    """Push into `highs` the node values of `lp` that differ from the copies
+    in `lp.sent`, and update the copies; False if HiGHS refused a push,
+    which drops the copies, so that the next call pushes every value."""
+    rows = lp.node_rows.ravel()
+    now = lp.lb, lp.ub, lp.env, lp.rhs[rows]
+    if lp.sent is None:  # NaN differs from every value
+        lp.sent = [np.full_like(v, np.nan) for v in now]
+    (lb, ub, env, rhs), (lb0, ub0, env0, rhs0) = now, lp.sent
+    i = ((lb != lb0) | (ub != ub0)).nonzero()[0]
+    j = (env != env0).nonzero()[0]
+    k = (rhs != rhs0).nonzero()[0]
+    lb0[i], ub0[i], env0[j], rhs0[k] = lb[i], ub[i], env[j], rhs[k]
+    statuses = [highs.changeColsBounds(i.size, i.astype(np.int32), lb0[i],
+                                       ub0[i])]
+    statuses += map(highs.changeCoeff, *lp.env_at[:, j].tolist(),
+                    env0[j].tolist())
+    statuses += map(highs.changeRowBounds, rows[k].tolist(),
+                    itertools.repeat(-np.inf), rhs0[k].tolist())
+    if core.HighsStatus.kError in statuses:
+        lp.sent = None
+        return False
+    return True
+
+
 @functools.cache
 def _highspy():
-    """scipy's bundled HiGHS binding and the options that
-    linprog(method="highs") sets."""
+    """scipy's bundled HiGHS binding, the options that linprog(method=
+    "highs") sets, and HiGHS's model statuses in linprog's codes."""
     from scipy.optimize._highspy import _core
     options = _core.HighsOptions()
     options.presolve = "on"
     options.simplex_strategy = 1  # dual simplex
     options.highs_debug_level = 0
     options.output_flag = options.log_to_console = False
-    return _core, options
+    ms = _core.HighsModelStatus
+    codes = {ms.kOptimal: 0, ms.kTimeLimit: 1, ms.kIterationLimit: 1,
+             ms.kInfeasible: 2, ms.kUnbounded: 3}
+    return _core, options, codes
 
 
 _RESIDUAL_TOL = math.sqrt(1e-9) * 10  # linprog's check of an optimal point
-_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
-           "kInfeasible": 2, "kUnbounded": 3}
 
 
 def _load(core, options, lp):

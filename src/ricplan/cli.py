@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -221,7 +222,10 @@ def cmd_fit(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every `main` call after the first reuses it."""
     parser = _Parser(prog="ricplan",
                      description="energy-aware xApp placement planner")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ricplan import cli
 from ricplan.cli import main
 
 
@@ -113,6 +114,24 @@ def test_plan_deterministic_bytes(tmp_path, scenario):
     assert main(["plan", "--scenario", scenario, "--out", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "plan.json").read_bytes() == (out2 / "plan.json").read_bytes()
+
+
+def test_cached_parser_leaks_nothing_between_calls(tmp_path, scenario):
+    # the parser is built once per process: one call's flags must not reach
+    # the next call, whose artifacts match those of a lone call
+    lone, first, second = (tmp_path / d for d in ("lone", "first", "second"))
+    cli._build_parser.cache_clear()
+    assert main(["plan", "--scenario", scenario, "--out", str(lone)]) == 0
+    cli._build_parser.cache_clear()
+    parser = cli._build_parser()
+    assert main(["plan", "--scenario", scenario, "--out", str(first),
+                 "--solver", "greedy", "--emit-runtime"]) == 0
+    assert main(["plan", "--scenario", scenario, "--out", str(second)]) == 0
+    assert cli._build_parser() is parser
+    for name in ("report.json", "plan.json"):
+        assert (second / name).read_bytes() == (lone / name).read_bytes()
+    assert (first / "report.json").read_bytes() != \
+        (lone / "report.json").read_bytes()
 
 
 def test_plan_emit_runtime(tmp_path, scenario):

@@ -404,6 +404,16 @@ def _meets(lp, x, tol=bnb._RESIDUAL_TOL):
                 and np.all(np.abs(slack[lp.m_ub:]) <= tol))
 
 
+def _assert_matches_cold(lp, a):
+    """The live answer `a` to the node LP `lp` has the status and objective
+    of a cold solve, and a point that meets `lp` as built."""
+    b = _solve_scipy(lp)
+    assert (a.status, a.success) == (b.status, b.success)
+    if a.success:
+        assert a.fun == pytest.approx(b.fun, rel=1e-9)
+        assert _meets(lp, a.x)
+
+
 LP_CASES = [m for m, _, _ in PINNED] + [lambda cal: _found_b_d_problem()]
 
 
@@ -417,11 +427,8 @@ def test_lp_backends_agree(cal, make, monkeypatch):
     live, seen = bnb.linprog, []
 
     def both(lp):
-        a, b = live(lp), _solve_scipy(lp)
-        assert (a.status, a.success) == (b.status, b.success)
-        if a.success:
-            assert a.fun == pytest.approx(b.fun, rel=1e-9)
-            assert _meets(lp, a.x)
+        a = live(lp)
+        _assert_matches_cold(lp, a)
         seen.append(a.status)
         return a
 
@@ -429,6 +436,69 @@ def test_lp_backends_agree(cal, make, monkeypatch):
     _, report = solve_bnb(make(cal), SolveLimits(time_limit=120.0))
     assert report.status == STATUS_OPTIMAL
     assert seen and 0 in seen
+
+
+class _RefusingModel:
+    """A live HiGHS model that refuses the changeCoeff calls for which
+    `refuse()` is true, changing nothing, as a failed push would."""
+
+    def __init__(self, highs, refuse):
+        self.highs, self.refuse = highs, refuse
+
+    def __getattr__(self, name):
+        return getattr(self.highs, name)
+
+    def changeCoeff(self, *args):
+        if self.refuse():
+            return bnb._highspy()[0].HighsStatus.kError
+        return self.highs.changeCoeff(*args)
+
+
+@pytest.mark.parametrize("lp_at, call_at", [(0, 0), (3, 1)],
+                         ids=["first-lp", "fourth-lp"])
+@pytest.mark.parametrize("make", LP_CASES[:3], ids=PINNED_IDS)
+def test_refused_push_is_pushed_again(cal, make, lp_at, call_at,
+                                      monkeypatch):
+    # linprog pushes only the values that differ from those it last pushed.
+    # HiGHS refusing one coefficient (call `call_at` of LP `lp_at`) fails
+    # that node's LP and must leave no stale value in the live model: every
+    # later node LP matches a cold solve
+    live, load, statuses, calls = bnb.linprog, bnb._load, [], []
+
+    def refuse():
+        calls.append(len(statuses))
+        return calls[-1] == lp_at and calls.count(lp_at) == call_at + 1
+
+    def checked(lp):
+        a = live(lp)
+        if len(statuses) == lp_at:
+            assert a.status == 4
+        else:
+            _assert_matches_cold(lp, a)
+        statuses.append(a.status)
+        return a
+
+    monkeypatch.setattr(bnb, "_load", lambda core, options, lp:
+                        _RefusingModel(load(core, options, lp), refuse))
+    monkeypatch.setattr(bnb, "linprog", checked)
+    _, report = solve_bnb(make(cal), SolveLimits(time_limit=120.0))
+    assert report.status == STATUS_OPTIMAL
+    assert 0 in statuses[lp_at + 1:]
+
+
+def test_server_boxes_keep_one_entry_per_server(cal, monkeypatch):
+    # _solve_lp keeps the last box it saw per server, not every box
+    live, solves = bnb.linprog, []
+
+    def kept(lp):
+        solves.append(lp)
+        return live(lp)
+
+    monkeypatch.setattr(bnb, "linprog", kept)
+    problem = _scale_problem(cal, 116)
+    solve_bnb(problem, SolveLimits(time_limit=120.0))
+    assert len(solves) > problem.n_servers
+    assert len(solves[-1].boxes) <= problem.n_servers
 
 
 def test_solves_do_not_leak_into_each_other(cal, monkeypatch):
