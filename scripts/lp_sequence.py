@@ -8,7 +8,10 @@ repr(objective)) sequence of every node LP of its solve, and the solve's
 status and node count.  Solves use the workload's gap and a deadline no
 scenario reaches, so the output does not depend on the speed of the
 machine.  A refactor meant to leave the search unchanged shows it by
-identical output in the two checkouts.
+identical output in the two checkouts.  A change that only stops gap-target
+solves earlier shows up as those lines alone, each with fewer nodes (and,
+where a solve now stops before proving optimality, `gap_reached` in place
+of `optimal`).
 """
 
 import hashlib

@@ -39,6 +39,14 @@ off-child explored first, with full-drain propagation), then the first open
 aggregate whose LP value is fractional, else the first open one, splitting
 its bounds at the LP value (at its midpoint without an LP point).  Runs are
 sequential and reproducible.
+
+Stopping: each stack entry carries the lowest bound at or below it, so the
+certified floor, min(that floor, the node's bound, the incumbent), costs O(1)
+at every node that survives its bound test.  The solve stops with
+"gap_reached" at the first such node whose gap to the incumbent is within a
+positive `gap_target`, "time_limit" at the first pop past the deadline, and
+otherwise when the stack is empty ("optimal", or "infeasible" without an
+incumbent).  A `bound` trace event is appended whenever the floor rises.
 """
 
 from __future__ import annotations
@@ -78,10 +86,11 @@ _INT_TOL = 1e-6
 class _Node:
     """A box of the search space plus the best bound proven for it.
 
-    `lo` and `hi` bound the node vector (o | m | d | mu) of `_Solve`.
+    `lo` and `hi` bound the node vector (o | m | d | mu) of `_Solve`; on
+    the search stack, `floor` is the lowest bound at or below the node.
     """
 
-    __slots__ = ("bound", "lo", "hi")
+    __slots__ = ("bound", "lo", "hi", "floor")
 
     def __init__(self, bound, lo, hi):
         self.bound = bound
@@ -191,12 +200,12 @@ def _node_lp(ctx):
     starts, index, data, rhs = [0], [], [], []
 
     def row(b, *entries):
-        """Append the row sum(v * x[j] for j, v in entries) <= or == b."""
-        merged = {}
+        """Append the row sum(v * x[j] for j, v in entries) <= or == b; no
+        row names a column twice, and zero coefficients are left out."""
         for j, v in entries:
-            merged[j] = merged.get(j, 0.0) + v
-        index.extend(j for j, v in merged.items() if v)
-        data.extend(v for v in merged.values() if v)
+            if v:
+                index.append(j)
+                data.append(v)
         starts.append(len(index))
         rhs.append(b)
 
@@ -211,10 +220,11 @@ def _node_lp(ctx):
             # hosting only on powered servers
             row(-float(n0[k][s]), (o[k][s], -1.0), (m[k][s], 1.0),
                 (d[k][s], 1.0), (mu[s], -float(ctx.n_tot[k])))
-            # a migrating unit cannot land back on its own source
+            # a migrating unit cannot land back on its own source:
+            # o[k][s] + m[k][s] <= sum(o[k]), its o[k][s] terms cancelled
             if ctx.pool[k] > 0:
-                row(0.0, (o[k][s], 1.0), (m[k][s], 1.0),
-                    *((j, -1.0) for j in o[k]))
+                row(0.0, (m[k][s], 1.0),
+                    *((j, -1.0) for j in o[k] if j != o[k][s]))
     env, node_rows = [], []
     for s, (o_s, m_s, d_s, _) in enumerate(ctx.at):
         aggs = list(zip(o_s, m_s, d_s))
@@ -513,17 +523,18 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
         incumbent, inc_obj = seed, seed.energy_total
         trace.append(("incumbent", time.perf_counter() - t0, inc_obj))
 
-    nodes = 0
-    stack = [_root_node(ctx)]
+    nodes, best_lb, stack = 0, -math.inf, []
 
-    def open_lb(extra=None):
-        """Certified floor: min bound over open boxes plus the incumbent."""
-        vals = [n.bound for n in stack]
-        if extra is not None:
-            vals.append(extra)
-        if incumbent is not None:
-            vals.append(inc_obj)
-        return min(vals) if vals else math.inf
+    def push(node):
+        node.floor = min(node.bound, stack[-1].floor) if stack else node.bound
+        stack.append(node)
+
+    push(_root_node(ctx))
+
+    def open_lb():
+        """Certified floor: the lowest bound of an open box, or the
+        incumbent."""
+        return min(stack[-1].floor if stack else math.inf, inc_obj)
 
     def finalize(status, detail="", lb=None):
         plan = incumbent
@@ -556,12 +567,13 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
         if node.bound >= inc_obj - slack(inc_obj):
             continue
 
-        if nodes % 64 == 0:
-            glb = open_lb(node.bound)
+        glb = min(open_lb(), node.bound)
+        if glb > best_lb:
+            best_lb = glb
             trace.append(("bound", time.perf_counter() - t0, glb))
-            if incumbent is not None and limits.gap_target > 0 and \
-                    mip_gap(inc_obj, glb) <= limits.gap_target:
-                return finalize(STATUS_GAP, "gap target reached", lb=glb)
+        if incumbent is not None and limits.gap_target > 0 and \
+                mip_gap(inc_obj, glb) <= limits.gap_target:
+            return finalize(STATUS_GAP, "gap target reached", lb=glb)
 
         lo, hi = node.lo, node.hi
         # a fixed box is judged as its one point, whatever its LP returned
@@ -584,14 +596,14 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
             o_s, m_s, d_s, a = ctx.at[s]
             on = node.child()
             on.lo[a] = 1
-            stack.append(on)
+            push(on)
             if drain_ok(problem, s):
                 off = node.child()
                 off.hi[a] = 0
                 for k, (o, m, d) in enumerate(zip(o_s, m_s, d_s)):
                     off.lo[o] = off.hi[o] = ctx.n0[k][s]
                     off.lo[m] = off.hi[m] = off.lo[d] = off.hi[d] = 0
-                stack.append(off)
+                push(off)
             continue
 
         # first fractional open aggregate, else the first open one; without
@@ -610,8 +622,8 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
         low, high = node.child(), node.child()
         low.hi[i] = pivot
         high.lo[i] = pivot + 1
-        stack.append(high)
-        stack.append(low)
+        push(high)
+        push(low)
 
     if incumbent is None:
         return finalize(STATUS_INFEASIBLE,
