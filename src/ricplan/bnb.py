@@ -14,14 +14,14 @@ column layout and the node LP, its matrix written row by row; a node is a
 box `lo`, `hi` over its node vector (o | m | d | mu).  Only the column
 bounds, the envelope coefficients `env` and the envelope and downtime
 right-hand sides depend on the node, and each of them belongs to one server:
-`_solve_lp` keeps per server the last box it saw and rewrites a server's
-values only when its box changed.  Every node LP goes through the
-module-level name `linprog`, looked up at each call.  Each solve keeps one
-live HiGHS model, through scipy's bundled binding: the first LP loads the
-skeleton (presolve on, dual simplex, as `scipy.optimize.linprog(method=
-"highs")` sets); every LP pushes only the node-dependent values that differ
-from those last pushed (all of them on the first LP and after a failed
-push) and solves, from the previous basis after the first.  A point
+`_solve_lp` keeps per server the last box it saw, and rewrites a server's
+values and marks it dirty only when its box changed.  Every node LP goes
+through the module-level name `linprog`, looked up at each call.  Each solve
+keeps one live HiGHS model, through scipy's bundled binding: the first LP
+loads the skeleton (presolve on, dual simplex, as
+`scipy.optimize.linprog(method="highs")` sets); every LP pushes all column
+bounds and the other values of the dirty servers (of all servers after a
+failed push) and solves, from the previous basis after the first.  A point
 counts as optimal only if it passes linprog's residual check.  A warm start
 can land on a different optimal vertex than a cold solve of the same LP, so
 the LP value does not depend on the nodes solved before (beyond rounding),
@@ -129,16 +129,16 @@ class _Solve:
     entries per server (its 2 envelope rows, then its downtime row outside
     sdl).  `_solve_lp` writes those before each solve, server by server:
     `boxes[s]` is the last box of server s it saw and whether that box
-    passed the slot prune, one entry per server.  `linprog` pushes them
-    into `highs`, the solve's live HiGHS model; `sent` holds copies of the
-    values it last pushed (None: push them all).
+    passed the slot prune, one entry per server; `dirty` holds the servers
+    whose box changed since `linprog` last pushed their values into
+    `highs`, the solve's live HiGHS model.
     """
 
     __slots__ = ("problem", "co", "K", "S", "A", "n0", "pend", "pool",
                  "n_tot", "use_tm", "use_ti", "o", "m", "d", "w", "p", "z",
                  "mu", "tm", "ti", "node_cols", "at", "pick", "server_cols",
                  "c", "starts", "index", "data", "rhs", "lb", "ub", "m_ub",
-                 "env", "env_at", "node_rows", "highs", "boxes", "sent")
+                 "env", "env_at", "node_rows", "highs", "boxes", "dirty")
 
 
 def _context(problem: SalProblem):
@@ -275,7 +275,7 @@ def _node_lp(ctx):
     ctx.node_rows = np.array(node_rows)
     ctx.m_ub, ctx.rhs, ctx.highs = m_ub, np.array(rhs), None
     ctx.lb, ctx.ub = np.zeros(nv), np.zeros(nv)
-    ctx.boxes, ctx.sent = [(None, False)] * S, None
+    ctx.boxes, ctx.dirty = [(None, False)] * S, set()
 
 
 def _root_node(ctx):
@@ -299,6 +299,7 @@ def _solve_lp(ctx, node):
         seen = ctx.boxes[s]
         if seen[0] != box:
             seen = ctx.boxes[s] = box, _write_server(ctx, s, *box)
+            ctx.dirty.add(s)
         if not seen[1]:
             return None, None  # every point in the box blows the slot
 
@@ -365,10 +366,9 @@ def linprog(lp):
     The first call loads the skeleton of `lp` into a new HiGHS instance,
     held in `lp.highs`; if HiGHS rejects the model, `lp.highs` is False and
     every LP of the solve reads status 4 without loading again.  Every call
-    pushes the column bounds, the envelope coefficients `lp.env` and the
-    right-hand sides of `lp.node_rows` that differ from those it last
-    pushed (all of them on the first call and after a failed push), then
-    solves, from the previous basis after the first.
+    pushes the column bounds and the envelope coefficients `lp.env` and
+    right-hand sides of `lp.node_rows` of the servers in `lp.dirty` (see
+    `_push`), then solves, from the previous basis after the first.
     Returns .status in scipy.optimize.linprog's codes (0 optimal, 1
     iteration or time limit, 2 infeasible, 3 unbounded, 4 anything else,
     including an optimum whose point fails linprog's residual check),
@@ -398,27 +398,23 @@ def linprog(lp):
 
 
 def _push(core, highs, lp):
-    """Push into `highs` the node values of `lp` that differ from the copies
-    in `lp.sent`, and update the copies; False if HiGHS refused a push,
-    which drops the copies, so that the next call pushes every value."""
-    rows = lp.node_rows.ravel()
-    now = lp.lb, lp.ub, lp.env, lp.rhs[rows]
-    if lp.sent is None:  # NaN differs from every value
-        lp.sent = [np.full_like(v, np.nan) for v in now]
-    (lb, ub, env, rhs), (lb0, ub0, env0, rhs0) = now, lp.sent
-    i = ((lb != lb0) | (ub != ub0)).nonzero()[0]
-    j = (env != env0).nonzero()[0]
-    k = (rhs != rhs0).nonzero()[0]
-    lb0[i], ub0[i], env0[j], rhs0[k] = lb[i], ub[i], env[j], rhs[k]
-    statuses = [highs.changeColsBounds(i.size, i.astype(np.int32), lb0[i],
-                                       ub0[i])]
+    """Push into `highs` the whole column-bound vector of `lp`, and the 6
+    `env` coefficients and the `node_rows` right-hand sides of each server
+    in `lp.dirty`, then clear the set; False if HiGHS refused a push, which
+    marks every server dirty, so that the next call pushes every value."""
+    n, dirty = lp.lb.size, list(lp.dirty)
+    j = [i for s in dirty for i in range(6 * s, 6 * s + 6)]
+    rows = lp.node_rows[dirty].ravel()
+    statuses = [highs.changeColsBounds(n, np.arange(n, dtype=np.int32),
+                                       lp.lb, lp.ub)]
     statuses += map(highs.changeCoeff, *lp.env_at[:, j].tolist(),
-                    env0[j].tolist())
-    statuses += map(highs.changeRowBounds, rows[k].tolist(),
-                    itertools.repeat(-np.inf), rhs0[k].tolist())
+                    lp.env[j].tolist())
+    statuses += map(highs.changeRowBounds, rows.tolist(),
+                    itertools.repeat(-np.inf), lp.rhs[rows].tolist())
     if core.HighsStatus.kError in statuses:
-        lp.sent = None
+        lp.dirty = set(range(lp.S))
         return False
+    lp.dirty.clear()
     return True
 
 
@@ -515,13 +511,18 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
             )
 
     ctx = _context(problem)
-    slack = lambda inc: 1e-9 * max(1.0, abs(inc))
+    # nodes bounded at `cutoff` or more cannot beat the incumbent (+inf: none)
+    incumbent, inc_obj, cutoff = None, math.inf, math.inf
 
-    incumbent, inc_obj = None, math.inf
+    def accept(plan, obj):
+        nonlocal incumbent, inc_obj, cutoff
+        incumbent, inc_obj = plan, obj
+        cutoff = obj - 1e-9 * max(1.0, abs(obj))
+        trace.append(("incumbent", time.perf_counter() - t0, obj))
+
     seed, _ = solve_greedy(problem)
     if seed is not None:
-        incumbent, inc_obj = seed, seed.energy_total
-        trace.append(("incumbent", time.perf_counter() - t0, inc_obj))
+        accept(seed, seed.energy_total)
 
     nodes, best_lb, stack = 0, -math.inf, []
 
@@ -532,8 +533,7 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
     push(_root_node(ctx))
 
     def open_lb():
-        """Certified floor: the lowest bound of an open box, or the
-        incumbent."""
+        """Certified floor: the lowest bound of an open box, or inc_obj."""
         return min(stack[-1].floor if stack else math.inf, inc_obj)
 
     def finalize(status, detail="", lb=None):
@@ -558,13 +558,13 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
             return finalize(STATUS_TIME, "time limit reached")
         node = stack.pop()
         nodes += 1
-        if node.bound >= inc_obj - slack(inc_obj):
+        if node.bound >= cutoff:
             continue
         node_lp, node_x = _solve_lp(ctx, node)
         if node_lp is None:
             continue
         node.bound = max(node.bound, node_lp)
-        if node.bound >= inc_obj - slack(inc_obj):
+        if node.bound >= cutoff:
             continue
 
         glb = min(open_lb(), node.bound)
@@ -583,10 +583,9 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
             cand = None if node_x is None else _extract_integral(ctx, node_x)
         if cand is not None:
             hit = _try_candidate(ctx, *cand)
-            if hit is not None and hit[1] < inc_obj - slack(inc_obj):
-                incumbent, inc_obj = hit
-                trace.append(("incumbent", time.perf_counter() - t0, inc_obj))
-                if node.bound >= inc_obj - slack(inc_obj):
+            if hit is not None and hit[1] < cutoff:
+                accept(*hit)
+                if node.bound >= cutoff:
                     continue
 
         # activation branching first; the on-child is explored second

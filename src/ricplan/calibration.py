@@ -355,7 +355,7 @@ def idle_coeff(cal: CalibrationSet, metric: str) -> float:
 
 
 def lookup(cal: CalibrationSet, block: str, **key):
-    """Generic coefficient lookup, mainly for tests and the CLI.
+    """Generic coefficient lookup by block name, for library callers and tests.
 
     Examples: lookup(cal, "kpi", strategy="sm-md", rho_mb=10, coeff="delta_m"),
     lookup(cal, "sigma", cls="C", rho_mb=1, nu_s=1), lookup(cal, "xapp_load",

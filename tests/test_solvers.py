@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import itertools
 import math
 import os
 import random
@@ -34,6 +35,7 @@ from ricplan.problem import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_TIME,
+    MigrationPlan,
     objective_eval,
     plan_from_aggregates,
 )
@@ -336,6 +338,104 @@ def test_bnb_matches_oracle_with_negative_migration_intercept():
     assert report.objective == pytest.approx(exact.objective, rel=1e-9)
 
 
+def _no_seed_problem(cal):
+    # greedy finds no plan here, but bruteforce finds one
+    state = ClusterState(servers=make_servers(2, n_mandatory=2, cpu=10.0),
+                         initial_counts={"D": (1, 3)}, initial_active=(1, 1))
+    return build_problem(state, make_params("sdl"), cal)
+
+
+def test_bnb_without_greedy_seed_finds_the_optimum(cal):
+    # without a seed the prune threshold was inf - inf = NaN: no candidate
+    # was ever accepted and bnb reported "infeasible" after 25 nodes
+    problem = _no_seed_problem(cal)
+    assert solve_greedy(problem)[0] is None
+    _, exact = solve_bruteforce(problem, SolveLimits())
+    plan, report = solve_bnb(problem, SolveLimits())
+    assert exact.status == report.status == STATUS_OPTIMAL
+    assert exact.objective == pytest.approx(1245169.3184, rel=1e-12)
+    assert report.objective == pytest.approx(exact.objective, rel=1e-9)
+    assert validate_plan(problem, plan).valid
+
+
+def test_bnb_without_greedy_seed_matches_oracle_sample(cal):
+    # the first 10 draws on which greedy finds no plan; 3 of them have a
+    # feasible plan
+    rng = random.Random(20261020)
+    kept = 0
+    while kept < 10:
+        classes = rng.sample("ABCD", rng.randint(1, 2))
+        servers = make_servers(2, n_mandatory=2,
+                               cpu=float(rng.choice([8, 10, 12])))
+        counts = {c: (rng.randint(0, 4), rng.randint(0, 4)) for c in classes}
+        deploys = {classes[0]: rng.randint(0, 2)}
+        state = ClusterState(servers=servers, initial_counts=counts,
+                             initial_active=(1, 1), pending_deploys=deploys)
+        strategy = rng.choice(["sdl", "sm-mr", "sm-md"])
+        problem = build_problem(state, make_params(strategy), cal)
+        if solve_greedy(problem)[0] is not None:
+            continue
+        kept += 1
+        _, exact = solve_bruteforce(problem, SolveLimits())
+        _, report = solve_bnb(problem, SolveLimits())
+        assert report.status == exact.status
+        if exact.status == STATUS_OPTIMAL:
+            assert report.objective == pytest.approx(exact.objective,
+                                                     rel=1e-9)
+
+
+# `make_random_scenario.py --seed 129`: every optimal plan sends the A out
+# of s2, which stays on (ROADMAP item 14).  `model.server_energy` bills a
+# server's window at its initial hosting and the rest of the slot at its
+# final hosting, so a migrated xApp is billed T + W_src - W_dst: moving the
+# A opens a window on s2, which then bills the B arriving from s3 for less
+# than the whole slot
+SEED_129 = {
+    "classes": [{"id": "A", "msg_period": 1.0, "msg_size": 100.0},
+                {"id": "B", "msg_period": 0.1, "msg_size": 100.0}],
+    "initial_counts": {"A": [0, 1, 0], "B": [0, 0, 1]},
+    "params": {"state_size": 1000000.0, "strategy": "sdl"},
+    "servers": [
+        {"cpu_cap": 64.0, "disk_cap": 250.0, "id": "s1", "mem_cap": 64.0,
+         "optional": False},
+        {"cpu_cap": 64.0, "disk_cap": 250.0, "id": "s2", "mem_cap": 125.0,
+         "optional": False},
+        {"cpu_cap": 128.0, "disk_cap": 250.0, "id": "s3", "mem_cap": 125.0,
+         "optional": True}],
+}
+
+
+def test_optimum_sends_xapps_out_of_a_server_that_stays_on(cal):
+    scen = parse_scenario(SEED_129)
+    problem = build_problem(scen.state, scen.params, cal)
+    for solver in (solve_bnb, solve_bruteforce):
+        plan, report = solver(problem, SolveLimits())
+        assert report.status == STATUS_OPTIMAL
+        assert report.objective == pytest.approx(1093844.9205, rel=1e-12)
+        assert plan.mu == (1, 1, 0)
+
+    # every plan, with whether a server that stays on sends anything
+    plans = []
+    for mu in ((1, 1, 0), (1, 1, 1)):
+        on = [s for s in range(3) if mu[s]]
+        for a, b in itertools.product(on, on):
+            x = {cls: [[0] * 4 for _ in range(4)] for cls in "AB"}
+            x["A"][1][a] = x["B"][2][b] = 1
+            plan = MigrationPlan(x=x, mu=mu)
+            if validate_plan(problem, plan).valid:
+                churn = bool(mu[1] and a != 1 or mu[2] and b != 2)
+                plans.append((objective_eval(problem, plan), churn, a, b))
+    best = min(plans)[0]
+    assert best == pytest.approx(1093844.9205, rel=1e-12)
+    optima = [p for p in plans if p[0] <= best * (1 + 1e-12)]
+    assert optima == [(best, True, 0, 1)]  # s2 sends its A to s1
+    # the best plan in which no powered server sends anything: the B moves
+    # to s2 (or, at the same energy, to s1) and the A stays on s2
+    calm = min(p for p in plans if not p[1])
+    assert calm == (pytest.approx(1093901.688, rel=1e-12), False, 1, 0)
+    assert (calm[0], False, 1, 1) in plans
+
+
 def test_bnb_uses_state_size_entry_of_backend_calibration():
     # a kpi.sdl entry at the scenario's state size overrides the wildcard
     # row for migration windows; bnb must bound with the same entry
@@ -553,10 +653,11 @@ class _RefusingModel:
 @pytest.mark.parametrize("make", LP_CASES[:3], ids=PINNED_IDS)
 def test_refused_push_is_pushed_again(cal, make, lp_at, call_at,
                                       monkeypatch):
-    # linprog pushes only the values that differ from those it last pushed.
+    # linprog pushes every column bound, and the envelope coefficients and
+    # right-hand sides of the servers whose box changed since its last push.
     # HiGHS refusing one coefficient (call `call_at` of LP `lp_at`) fails
-    # that node's LP and must leave no stale value in the live model: every
-    # later node LP matches a cold solve
+    # that node's LP and marks every server dirty, so no stale value stays
+    # in the live model: every later node LP matches a cold solve
     live, load, statuses, calls = bnb.linprog, bnb._load, [], []
 
     def refuse():
