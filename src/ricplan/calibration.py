@@ -8,12 +8,11 @@ with the most specific key winning on lookup.
 
 Units follow the measurement tables: watts, virtual cores, gigabytes and
 seconds, except sigma (defrag-downtime slope) which is stored in milliseconds
-exactly as measured and converted to seconds by the accessor models use.
+exactly as measured and converted to seconds where the models read it.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 from collections.abc import Mapping
@@ -178,7 +177,10 @@ def default_calibration() -> CalibrationSet:
 # loading / validation
 
 _read = Reader(CalibrationError)
-_ANY, _AXIS = "any key", "a decimal or the wildcard"
+# the key kinds of a free level and of the two axis levels, which are keyed
+# by a decimal or the wildcard and named in a lookup miss as rho=... / nu=...
+_ANY, _RHO, _NU = "any key", "rho", "nu"
+_AXES = (_RHO, _NU)
 
 
 def _slope(value, where: str) -> float:
@@ -189,15 +191,15 @@ def _slope(value, where: str) -> float:
 
 
 # Each block of a calibration file, in the order they are read: the field of
-# CalibrationSet it merges into, the key kind of each level (_ANY, _AXIS or
-# (noun, allowed keys)) and the leaf.  A leaf is a number reader, or a line:
-# the readers of an object's fields, read over the entry the object
-# overrides, so the merged entry holds every field.
+# CalibrationSet it merges into, the key kind of each level (_ANY, an axis
+# of _AXES, or (noun, allowed keys)) and the leaf.  A leaf is a number
+# reader, or a line: the readers of an object's fields, read over the entry
+# the object overrides, so the merged entry holds every field.
 _BLOCKS = {
-    "kpi": ("kpi", (("strategy", STRATEGIES), _AXIS), {
+    "kpi": ("kpi", (("strategy", STRATEGIES), _RHO), {
         "delta_d": _slope, "b_d": _read.number,
         "delta_m": _slope, "b_m": _read.number}),
-    "sigma": ("sigma_ms", (_ANY, _AXIS, _AXIS), _read.nonnegative),
+    "sigma": ("sigma_ms", (_ANY, _RHO, _NU), _read.nonnegative),
     "sdl_linear": ("sdl_linear", (_ANY, ("metric", METRICS)),
                    {"delta": _read.number, "b": _read.number}),
     "sm_overhead": ("sm_overhead",
@@ -211,7 +213,7 @@ _BLOCKS = {
 
 def _key(kind, raw, where: str):
     """The table key of the file key `raw`, read as `kind`."""
-    if kind is _AXIS:
+    if kind in _AXES:
         if raw == WILDCARD:
             return WILDCARD
         try:
@@ -271,111 +273,42 @@ def _axis_key_out(key):
 
 def serialize_calibration(cal: CalibrationSet) -> dict:
     """JSON-ready document that load_calibration maps back to `cal`."""
-    doc: dict = {
-        "kpi": {},
-        "sigma": {},
-        "sdl_linear": copy.deepcopy(cal.sdl_linear),
-        "sm_overhead": copy.deepcopy(cal.sm_overhead),
-        "xapp_load": copy.deepcopy(cal.xapp_load),
-        "server_idle": dict(cal.server_idle),
-    }
-    for strategy, by_rho in cal.kpi.items():
-        doc["kpi"][strategy] = {
-            _axis_key_out(rho): dict(coeffs) for rho, coeffs in by_rho.items()
-        }
-    for cls, by_rho in cal.sigma_ms.items():
-        doc["sigma"][cls] = {
-            _axis_key_out(rho): {_axis_key_out(nu): v for nu, v in by_nu.items()}
-            for rho, by_nu in by_rho.items()
-        }
-    return doc
+
+    def out(table, kinds):
+        if not kinds:
+            return dict(table) if isinstance(table, dict) else table
+        kind, *deeper = kinds
+        return {_axis_key_out(key) if kind in _AXES else key:
+                out(entry, deeper) for key, entry in table.items()}
+
+    return {block: out(getattr(cal, field_name), kinds)
+            for block, (field_name, kinds, _) in _BLOCKS.items()}
 
 
 # ---------------------------------------------------------------------------
 # lookup
 
-def _resolve(mapping: Mapping, key, path: str):
-    """Exact key first, wildcard as fallback."""
-    if key in mapping:
-        return mapping[key]
-    if WILDCARD in mapping:
-        return mapping[WILDCARD]
-    raise CalibrationLookupError(path)
+def lookup(cal: CalibrationSet, block: str, *keys):
+    """The entry of `block` at `keys`: one key per level of _BLOCKS[block],
+    then, for a line, optionally one of its fields.  Examples:
+    lookup(cal, "kpi", "sm-md", 10.0) is the {delta_d, b_d, delta_m, b_m}
+    line, lookup(cal, "sdl_linear", "A", "E", "b") one field of a line,
+    lookup(cal, "sigma", "C", 1.0, 1.0) a slope in ms as calibrated.
 
-
-def kpi_coeffs(cal: CalibrationSet, strategy: str, rho_mb) -> dict:
-    """{delta_d, b_d, delta_m, b_m} for a (strategy, state size) pair.
-
-    rho_mb may be None for strategies calibrated state-size independent.
+    Each level takes the key itself, else its "*" entry; _key admits "*"
+    only at free and axis levels.  A miss raises CalibrationLookupError
+    naming the path, axis levels as rho=... and nu=...
     """
-    by_rho = cal.kpi.get(strategy)
-    if by_rho is None:
-        raise CalibrationLookupError(f"kpi.{strategy}")
-    key = WILDCARD if rho_mb is None else rho_mb
-    return _resolve(by_rho, key, f"kpi.{strategy}.rho={rho_mb}")
-
-
-def _sigma_ms(cal: CalibrationSet, cls: str, rho_mb, nu_s) -> float:
-    by_rho = _resolve(cal.sigma_ms, cls, f"sigma.{cls}")
-    by_nu = _resolve(by_rho, rho_mb, f"sigma.{cls}.rho={rho_mb}")
-    return _resolve(by_nu, nu_s, f"sigma.{cls}.rho={rho_mb}.nu={nu_s}")
-
-
-def sigma_seconds(cal: CalibrationSet, cls: str, rho_mb, nu_s) -> float:
-    """Defrag-downtime slope in seconds per xApp for (class, rho, nu)."""
-    return _sigma_ms(cal, cls, rho_mb, nu_s) / 1000.0
-
-
-def sdl_term(cal: CalibrationSet, cls: str, metric: str) -> tuple:
-    by_metric = _resolve(cal.sdl_linear, cls, f"sdl_linear.{cls}")
-    pair = by_metric.get(metric)
-    if pair is None:
-        raise CalibrationLookupError(f"sdl_linear.{cls}.{metric}")
-    return pair["delta"], pair["b"]
-
-
-def sm_overhead_coeff(cal: CalibrationSet, strategy: str, metric: str) -> float:
-    by_metric = cal.sm_overhead.get(strategy)
-    if by_metric is None or metric not in by_metric:
-        raise CalibrationLookupError(f"sm_overhead.{strategy}.{metric}")
-    return by_metric[metric]
-
-
-def load_coeff(cal: CalibrationSet, cls: str, metric: str) -> float:
-    by_metric = _resolve(cal.xapp_load, cls, f"xapp_load.{cls}")
-    if metric not in by_metric:
-        raise CalibrationLookupError(f"xapp_load.{cls}.{metric}")
-    return by_metric[metric]
-
-
-def idle_coeff(cal: CalibrationSet, metric: str) -> float:
-    if metric not in cal.server_idle:
-        raise CalibrationLookupError(f"server_idle.{metric}")
-    return cal.server_idle[metric]
-
-
-def lookup(cal: CalibrationSet, block: str, **key):
-    """Generic coefficient lookup by block name, for library callers and tests.
-
-    Examples: lookup(cal, "kpi", strategy="sm-md", rho_mb=10, coeff="delta_m"),
-    lookup(cal, "sigma", cls="C", rho_mb=1, nu_s=1), lookup(cal, "xapp_load",
-    cls="B", metric="E").  Sigma is returned in ms as calibrated.
-    """
-    if block == "kpi":
-        coeffs = kpi_coeffs(cal, key["strategy"], key.get("rho_mb"))
-        return coeffs[key["coeff"]]
-    if block == "sigma":
-        return _sigma_ms(cal, key["cls"], key["rho_mb"], key["nu_s"])
-    if block == "sdl_linear":
-        delta, b = sdl_term(cal, key["cls"], key["metric"])
-        return delta if key["coeff"] == "delta" else b
-    if block == "sm_overhead":
-        return sm_overhead_coeff(cal, key["strategy"], key["metric"])
-    if block == "xapp_load":
-        return load_coeff(cal, key["cls"], key["metric"])
-    if block == "server_idle":
-        return idle_coeff(cal, key["metric"])
-    raise CalibrationLookupError(block)
+    field_name, kinds, _ = _BLOCKS[block]
+    entry = getattr(cal, field_name)
+    for depth, key in enumerate(keys):
+        try:
+            entry = entry[key] if key in entry else entry[WILDCARD]
+        except (KeyError, TypeError):  # no such key, or past a number leaf
+            path = [f"{kind}={k}" if kind in _AXES else str(k) for kind, k
+                    in zip(kinds + (None,) * len(keys), keys[:depth + 1])]
+            raise CalibrationLookupError(".".join([block, *path])) from None
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +354,7 @@ def fit_fragment(label: str, fit: LinearFit) -> dict:
             raise CalibrationError(
                 f"label {label!r} is too short ({FIT_LABELS})")
         after = len(kinds) + halves - len(path)  # fields still to come
-        width = 1 + (kind is _AXIS and len(tokens) >= after + 2
+        width = 1 + (kind in _AXES and len(tokens) >= after + 2
                      and tokens[0].isdigit() and tokens[1].isdigit())
         raw = ".".join(tokens[:width])
         del tokens[:width]
@@ -464,10 +397,13 @@ def read_measurement_csv(path, label: str = "") -> MeasurementSeries:
             if len(row) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 columns")
             try:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
+                x, y = float(row[0]), float(row[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric value") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
+            xs.append(x)
+            ys.append(y)
     if len(xs) < 2:
         raise DegenerateFitError(f"{path}: need at least 2 rows")
     try:

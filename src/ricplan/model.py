@@ -28,15 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple
 
-from .calibration import (
-    CalibrationSet,
-    kpi_coeffs,
-    idle_coeff,
-    load_coeff,
-    sdl_term,
-    sigma_seconds,
-    sm_overhead_coeff,
-)
+from .calibration import WILDCARD, CalibrationSet, lookup
 
 RESOURCES = ("CPU", "MEM", "DISK")
 _SLACK = 1e-9  # relative slack on limit comparisons (fp noise)
@@ -264,7 +256,7 @@ def sm_downtime(strategy, outgoing_count: int, cal: CalibrationSet, rho_mb: floa
     if strategy not in SM_STRATEGIES:
         raise ValueError("sm_downtime applies to stateful-migration strategies only")
     outgoing_count = _check_count(outgoing_count, "outgoing_count")
-    c = kpi_coeffs(cal, strategy.value, rho_mb)
+    c = lookup(cal, "kpi", strategy.value, rho_mb)
     if outgoing_count == 0:
         return 0.0
     return _clamp(c["delta_d"] * outgoing_count + c["b_d"])
@@ -288,7 +280,7 @@ def migration_duration(strategy, outgoing_count: int, cal: CalibrationSet,
         return 0.0
     if strategy is not StrategyId.SDL and rho_mb is None:
         raise ValueError("rho_mb required for stateful-migration strategies")
-    c = kpi_coeffs(cal, strategy.value, rho_mb)
+    c = lookup(cal, "kpi", strategy.value, rho_mb)
     return _clamp(c["delta_m"] * outgoing_count + c["b_m"])
 
 
@@ -297,7 +289,7 @@ def instantiation_time(new_count: int, cal: CalibrationSet) -> float:
     new_count = _check_count(new_count, "new_count")
     if new_count == 0:
         return 0.0
-    c = kpi_coeffs(cal, StrategyId.SDL.value, None)
+    c = lookup(cal, "kpi", StrategyId.SDL.value, WILDCARD)
     return _clamp(c["delta_m"] * new_count + c["b_m"])
 
 
@@ -309,7 +301,8 @@ def defrag_downtime(counts: Mapping[str, int], cal: CalibrationSet,
         n = _check_count(n, f"counts[{cls}]")
         if n == 0:
             continue
-        total += sigma_seconds(cal, cls, rho_mb, nu_s) * n
+        # sigma is calibrated in ms per xApp
+        total += lookup(cal, "sigma", cls, rho_mb, nu_s) / 1000.0 * n
     return total
 
 
@@ -349,10 +342,10 @@ def strategy_overhead(strategy, resource: str, total_counts: Mapping[str, int],
     if strategy is StrategyId.SDL:
         acc = 0.0
         for cls, n in total_counts.items():
-            delta, b = sdl_term(cal, cls, resource)
-            acc += _clamp(delta * n + b)
+            line = lookup(cal, "sdl_linear", cls, resource)
+            acc += _clamp(line["delta"] * n + line["b"])
         return acc / server_count
-    return sm_overhead_coeff(cal, strategy.value, resource)
+    return lookup(cal, "sm_overhead", strategy.value, resource)
 
 
 def server_resources(server: ServerSpec, active: bool,
@@ -366,9 +359,10 @@ def server_resources(server: ServerSpec, active: bool,
     """
     usage = []
     for resource in RESOURCES:
-        v = (idle_coeff(cal, resource) if active else 0.0)
+        v = (lookup(cal, "server_idle", resource) if active else 0.0)
         for cls, n in hosted_counts.items():
-            v += load_coeff(cal, cls, resource) * _check_count(n, f"hosted[{cls}]")
+            v += lookup(cal, "xapp_load", cls, resource) \
+                * _check_count(n, f"hosted[{cls}]")
         v += strategy_overhead(strategy, resource, total_counts, server_count,
                                cal, participates)
         usage.append(_clamp(v))
@@ -389,7 +383,7 @@ def sm_migration_energy(strategy, durations, cal: CalibrationSet) -> float:
     total = sum(durations) if isinstance(durations, Iterable) else float(durations)
     if total < 0:
         raise ValueError("durations must be non-negative")
-    return sm_overhead_coeff(cal, strategy.value, "E") * total
+    return lookup(cal, "sm_overhead", strategy.value, "E") * total
 
 
 def sdl_energy_per_server(total_counts: Mapping[str, int], server_count: int,
@@ -405,8 +399,9 @@ def sdl_energy_per_server(total_counts: Mapping[str, int], server_count: int,
         raise ValueError("slot_length must be >= 0")
     acc = 0.0
     for cls, n in total_counts.items():
-        delta, b = sdl_term(cal, cls, "E")
-        acc += _clamp(delta * _check_count(n, f"counts[{cls}]") + b)
+        line = lookup(cal, "sdl_linear", cls, "E")
+        acc += _clamp(line["delta"] * _check_count(n, f"counts[{cls}]")
+                      + line["b"])
     return slot_length / server_count * acc
 
 
@@ -447,12 +442,12 @@ def server_energy(outgoing: Mapping[str, int], incoming: Mapping[str, int],
     else:
         e_tau = sm_migration_energy(strategy, durations, cal)
 
-    q_e = idle_coeff(cal, "E")
+    q_e = lookup(cal, "server_idle", "E")
     initial_power = q_e + sum(
-        load_coeff(cal, cls, "E") * n0_s.get(cls, 0) for cls in totals
+        lookup(cal, "xapp_load", cls, "E") * n0_s.get(cls, 0) for cls in totals
     )
     final_power = (q_e if mu_s else 0.0) + sum(
-        load_coeff(cal, cls, "E")
+        lookup(cal, "xapp_load", cls, "E")
         * (staying.get(cls, 0) + incoming.get(cls, 0) + new.get(cls, 0))
         for cls in totals
     )

@@ -88,6 +88,9 @@ class SweepSpec:
             raise ValueError("dominant_share must be in (0, 1]")
         if any(n < 0 for n in self.count_range):
             raise ValueError("count_range entries must be >= 0")
+        for name in ("rho_list_mb", "nu_list_s"):
+            if any(v <= 0 for v in getattr(self, name)):
+                raise ValueError(f"{name} entries must be > 0")
         for st in self.strategies:
             StrategyId(st)
 
@@ -130,31 +133,20 @@ def balanced_state(classes: Sequence[XAppClass],
     )
 
 
-def apply_undeployments(state: ClusterState,
-                        n_minus: Mapping[str, int] = None) -> ClusterState:
-    """Remove xApps ahead of planning, most-loaded optional server first.
+def apply_undeployments(state: ClusterState) -> ClusterState:
+    """Remove the state's pending undeploys ahead of planning, most-loaded
+    optional server first.
 
     Removal is unit by unit: the next xApp leaves an optional server before
     a mandatory one, the busiest first, ties by server id, which frees the
     servers a consolidation pass wants to shut down anyway.  Returns a state
     with the removals folded in and no pending undeploys.
     """
-    removals = dict(n_minus) if n_minus is not None else dict(state.pending_undeploys)
-    for cls in removals:
-        if cls not in state.initial_counts:
-            raise ValueError(f"undeploy count for unknown class {cls!r}")
     counts = {cls: list(state.initial_counts[cls]) for cls in state.classes}
     servers = state.servers
     for cls in state.classes:
-        want = removals.get(cls, 0)
-        if want < 0:
-            raise ValueError(f"negative undeploy count for class {cls!r}")
-        if want > sum(counts[cls]):
-            raise ValueError(
-                f"cannot undeploy {want} of class {cls!r}: only "
-                f"{sum(counts[cls])} hosted"
-            )
-        for _ in range(want):
+        # ClusterState holds each class's count, between 0 and its hosted count
+        for _ in range(state.pending_undeploys[cls]):
             s = min((s for s, k in enumerate(counts[cls]) if k > 0),
                     key=lambda s: (not servers[s].optional_flag,
                                    -sum(row[s] for row in counts.values()),

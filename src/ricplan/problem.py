@@ -28,13 +28,7 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from . import model
-from .calibration import (
-    CalibrationSet,
-    idle_coeff,
-    kpi_coeffs,
-    load_coeff,
-    sm_overhead_coeff,
-)
+from .calibration import WILDCARD, CalibrationSet, lookup
 from .model import (
     RESOURCES,
     ClusterState,
@@ -114,17 +108,17 @@ class SalProblem:
         sdl = strategy is StrategyId.SDL
         metrics = ("E",) + RESOURCES
         return Coeffs(
-            idle={r: idle_coeff(cal, r) for r in metrics},
-            loads={r: tuple(load_coeff(cal, cls, r) for cls in self.classes)
-                   for r in metrics},
+            idle={r: lookup(cal, "server_idle", r) for r in metrics},
+            loads={r: tuple(lookup(cal, "xapp_load", cls, r)
+                            for cls in self.classes) for r in metrics},
             overhead={r: model.strategy_overhead(strategy, r, totals, n, cal,
                                                  True) for r in RESOURCES},
-            kpi=kpi_coeffs(cal, strategy.value, params.rho_mb),
-            inst=kpi_coeffs(cal, StrategyId.SDL.value, None),
+            kpi=lookup(cal, "kpi", strategy.value, params.rho_mb),
+            inst=lookup(cal, "kpi", StrategyId.SDL.value, WILDCARD),
             backend_energy=model.sdl_energy_per_server(
                 totals, n, params.slot_length, cal) if sdl else 0.0,
             engine_power=0.0 if sdl else
-            sm_overhead_coeff(cal, strategy.value, "E"),
+            lookup(cal, "sm_overhead", strategy.value, "E"),
         )
 
 

@@ -5,10 +5,10 @@ One set of rules for every file kind.  A document is a JSON object; a
 record is an object whose keys are all declared, read field by field in the
 order declared, so the first complaint is about the first bad field; a
 table is an object whose keys are free; a number is finite, an integer a
-JSON integer, a count a non-negative integer, a flag true, false, 0 or 1.
-Every complaint names the field it is about and raises the error type of
-the module that reads the file.  This module imports nothing from the
-package, so every other module can use it.
+JSON integer, a count a non-negative integer, a flag true, false, 0 or 1,
+a text a JSON string.  Every complaint names the field it is about and
+raises the error type of the module that reads the file.  This module
+imports nothing from the package, so every other module can use it.
 """
 
 from __future__ import annotations
@@ -125,4 +125,7 @@ class Reader:
         self.fail(where, f"expected true, false, 0 or 1, got {value!r}")
 
     def text(self, value, where: str) -> str:
-        return str(value)
+        """A JSON string."""
+        if not isinstance(value, str):
+            self.fail(where, f"expected a string, got {value!r}")
+        return value

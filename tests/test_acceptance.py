@@ -66,13 +66,13 @@ def test_criterion_1_calibration_fidelity(capsys):
     failures, check = _checker()
     t0 = time.perf_counter()
     spots = [
-        (lookup(CAL, "server_idle", metric="E"), 120.0, "q_E"),
-        (lookup(CAL, "sm_overhead", strategy="sm-md", metric="E"), 27.56,
+        (lookup(CAL, "server_idle", "E"), 120.0, "q_E"),
+        (lookup(CAL, "sm_overhead", "sm-md", "E"), 27.56,
          "b_E sm-md"),
-        (lookup(CAL, "kpi", strategy="sm-mr", rho_mb=10.0, coeff="delta_d"),
+        (lookup(CAL, "kpi", "sm-mr", 10.0, "delta_d"),
          11.73, "delta_D sm-mr rho=10"),
-        (lookup(CAL, "sigma", cls="A", rho_mb=1.0, nu_s=1.0), 16.62, "sigma_A"),
-        (lookup(CAL, "xapp_load", cls="B", metric="E"), 16.48, "p_E,B"),
+        (lookup(CAL, "sigma", "A", 1.0, 1.0), 16.62, "sigma_A"),
+        (lookup(CAL, "xapp_load", "B", "E"), 16.48, "p_E,B"),
     ]
     for got, want, name in spots:
         check(got == want, f"{name}: {got} != {want}")

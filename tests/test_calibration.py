@@ -37,22 +37,22 @@ KPI_CELLS = [
 
 @pytest.mark.parametrize("strategy,rho,coeff,value", KPI_CELLS)
 def test_kpi_table_cells(cal, strategy, rho, coeff, value):
-    assert lookup(cal, "kpi", strategy=strategy, rho_mb=rho, coeff=coeff) == value
+    assert lookup(cal, "kpi", strategy, rho, coeff) == value
 
 
 def test_sm_mr_duration_equals_downtime_slope(cal):
     # cold migration: the whole duration is downtime, same line
     for rho in (1.0, 10.0, 100.0):
-        c = lookup(cal, "kpi", strategy="sm-mr", rho_mb=rho, coeff="delta_m")
-        d = lookup(cal, "kpi", strategy="sm-mr", rho_mb=rho, coeff="delta_d")
+        c = lookup(cal, "kpi", "sm-mr", rho, "delta_m")
+        d = lookup(cal, "kpi", "sm-mr", rho, "delta_d")
         assert c == d
 
 
 def test_sm_intercepts_zero(cal):
     for strategy in ("sm-mr", "sm-md"):
         for rho in (1.0, 10.0, 100.0):
-            assert lookup(cal, "kpi", strategy=strategy, rho_mb=rho, coeff="b_d") == 0.0
-            assert lookup(cal, "kpi", strategy=strategy, rho_mb=rho, coeff="b_m") == 0.0
+            assert lookup(cal, "kpi", strategy, rho, "b_d") == 0.0
+            assert lookup(cal, "kpi", strategy, rho, "b_m") == 0.0
 
 
 SIGMA_CELLS = [("A", 16.62), ("B", 17.07), ("C", 7.71), ("D", 11.62)]
@@ -60,7 +60,7 @@ SIGMA_CELLS = [("A", 16.62), ("B", 17.07), ("C", 7.71), ("D", 11.62)]
 
 @pytest.mark.parametrize("cls,ms", SIGMA_CELLS)
 def test_sigma_cells_ms(cal, cls, ms):
-    assert lookup(cal, "sigma", cls=cls, rho_mb=1.0, nu_s=1.0) == ms
+    assert lookup(cal, "sigma", cls, 1.0, 1.0) == ms
 
 
 SDL_E_CELLS = [
@@ -71,16 +71,16 @@ SDL_E_CELLS = [
 
 @pytest.mark.parametrize("cls,delta,b", SDL_E_CELLS)
 def test_sdl_energy_cells(cal, cls, delta, b):
-    assert lookup(cal, "sdl_linear", cls=cls, metric="E", coeff="delta") == delta
-    assert lookup(cal, "sdl_linear", cls=cls, metric="E", coeff="b") == b
+    assert lookup(cal, "sdl_linear", cls, "E", "delta") == delta
+    assert lookup(cal, "sdl_linear", cls, "E", "b") == b
 
 
 def test_sdl_cpu_mem_disk_cells(cal):
-    assert lookup(cal, "sdl_linear", cls="A", metric="CPU", coeff="b") == 5.32
-    assert lookup(cal, "sdl_linear", cls="B", metric="CPU", coeff="delta") == 0.03
-    assert lookup(cal, "sdl_linear", cls="C", metric="MEM", coeff="b") == 1.82
-    assert lookup(cal, "sdl_linear", cls="D", metric="MEM", coeff="delta") == 0.08
-    assert lookup(cal, "sdl_linear", cls="A", metric="DISK", coeff="b") == 0.0
+    assert lookup(cal, "sdl_linear", "A", "CPU", "b") == 5.32
+    assert lookup(cal, "sdl_linear", "B", "CPU", "delta") == 0.03
+    assert lookup(cal, "sdl_linear", "C", "MEM", "b") == 1.82
+    assert lookup(cal, "sdl_linear", "D", "MEM", "delta") == 0.08
+    assert lookup(cal, "sdl_linear", "A", "DISK", "b") == 0.0
 
 
 LOAD_CELLS = [
@@ -92,31 +92,68 @@ LOAD_CELLS = [
 
 @pytest.mark.parametrize("cls,metric,value", LOAD_CELLS)
 def test_xapp_load_cells(cal, cls, metric, value):
-    assert lookup(cal, "xapp_load", cls=cls, metric=metric) == value
+    assert lookup(cal, "xapp_load", cls, metric) == value
 
 
 def test_idle_and_overhead_cells(cal):
-    assert lookup(cal, "server_idle", metric="E") == 120.0
-    assert lookup(cal, "server_idle", metric="CPU") == 0.1
-    assert lookup(cal, "server_idle", metric="MEM") == 5.7
-    assert lookup(cal, "server_idle", metric="DISK") == 3.2
-    assert lookup(cal, "sm_overhead", strategy="sm-mr", metric="CPU") == 0.40
-    assert lookup(cal, "sm_overhead", strategy="sm-md", metric="CPU") == 0.76
-    assert lookup(cal, "sm_overhead", strategy="sm-mr", metric="E") == 17.87
-    assert lookup(cal, "sm_overhead", strategy="sm-md", metric="E") == 27.56
-    assert lookup(cal, "sm_overhead", strategy="sm-mr", metric="MEM") == 0.0
-    assert lookup(cal, "sm_overhead", strategy="sm-md", metric="DISK") == 0.0
+    assert lookup(cal, "server_idle", "E") == 120.0
+    assert lookup(cal, "server_idle", "CPU") == 0.1
+    assert lookup(cal, "server_idle", "MEM") == 5.7
+    assert lookup(cal, "server_idle", "DISK") == 3.2
+    assert lookup(cal, "sm_overhead", "sm-mr", "CPU") == 0.40
+    assert lookup(cal, "sm_overhead", "sm-md", "CPU") == 0.76
+    assert lookup(cal, "sm_overhead", "sm-mr", "E") == 17.87
+    assert lookup(cal, "sm_overhead", "sm-md", "E") == 27.56
+    assert lookup(cal, "sm_overhead", "sm-mr", "MEM") == 0.0
+    assert lookup(cal, "sm_overhead", "sm-md", "DISK") == 0.0
 
 
 def test_lookup_miss_echoes_key(cal):
     with pytest.raises(CalibrationLookupError) as exc:
-        lookup(cal, "sigma", cls="A", rho_mb=100.0, nu_s=1.0)
+        lookup(cal, "sigma", "A", 100.0, 1.0)
     assert "rho=100.0" in str(exc.value)
 
 
 def test_lookup_miss_unknown_strategy(cal):
     with pytest.raises(CalibrationLookupError):
-        lookup(cal, "kpi", strategy="nope", rho_mb=1.0, coeff="delta_d")
+        lookup(cal, "kpi", "nope", 1.0, "delta_d")
+
+
+# one miss at each level of each block, at a line's field and past a number
+_MISSES = [
+    (("kpi", "nope", 1.0), "kpi.nope"),
+    (("kpi", "sm-mr", 5.0), "kpi.sm-mr.rho=5.0"),
+    (("kpi", "sm-mr", 1.0, "typo"), "kpi.sm-mr.rho=1.0.typo"),
+    (("sigma", "Z", 1.0, 1.0), "sigma.Z"),
+    (("sigma", "A", 100.0, 1.0), "sigma.A.rho=100.0"),
+    (("sigma", "A", 1.0, 2.0), "sigma.A.rho=1.0.nu=2.0"),
+    (("sdl_linear", "Z", "E"), "sdl_linear.Z"),
+    (("sdl_linear", "A", "GPU"), "sdl_linear.A.GPU"),
+    (("sdl_linear", "A", "E", "typo"), "sdl_linear.A.E.typo"),
+    (("sm_overhead", "sdl", "E"), "sm_overhead.sdl"),
+    (("sm_overhead", "sm-mr", "GPU"), "sm_overhead.sm-mr.GPU"),
+    (("xapp_load", "Z", "E"), "xapp_load.Z"),
+    (("xapp_load", "A", "GPU"), "xapp_load.A.GPU"),
+    (("xapp_load", "A", "E", "typo"), "xapp_load.A.E.typo"),
+    (("server_idle", "GPU"), "server_idle.GPU"),
+]
+
+
+@pytest.mark.parametrize("keys, path", _MISSES,
+                         ids=[path for _, path in _MISSES])
+def test_lookup_miss_names_its_path(cal, keys, path):
+    with pytest.raises(CalibrationLookupError) as exc:
+        lookup(cal, *keys)
+    assert str(exc.value) == f"no calibration entry for {path}"
+
+
+def test_lookup_wildcard_serves_each_free_level():
+    # a class or axis key the tables lack falls back to its "*" entry
+    merged = load_calibration({"sigma": {"*": {"*": {"2.0": 3.0}}},
+                               "xapp_load": {"*": {"E": 1.5}}})
+    assert lookup(merged, "sigma", "Z", 7.0, 2.0) == 3.0
+    assert lookup(merged, "sigma", "A", 1.0, 1.0) == 16.62
+    assert lookup(merged, "xapp_load", "Z", "E") == 1.5
 
 
 # loading and merging
@@ -127,9 +164,9 @@ def test_empty_override_is_identity(cal):
 
 def test_single_key_merge(cal):
     merged = load_calibration({"sm_overhead": {"sm-mr": {"E": 20.0}}})
-    assert lookup(merged, "sm_overhead", strategy="sm-mr", metric="E") == 20.0
-    assert lookup(merged, "sm_overhead", strategy="sm-md", metric="E") == 27.56
-    assert lookup(merged, "server_idle", metric="E") == 120.0
+    assert lookup(merged, "sm_overhead", "sm-mr", "E") == 20.0
+    assert lookup(merged, "sm_overhead", "sm-md", "E") == 27.56
+    assert lookup(merged, "server_idle", "E") == 120.0
 
 
 def test_negative_sigma_rejected():
@@ -191,8 +228,8 @@ def test_wildcard_precedence():
     # an exact rho key must beat the wildcard entry
     merged = load_calibration({"kpi": {"sdl": {"2.0": {
         "delta_d": 0.0, "b_d": 0.0, "delta_m": 0.5, "b_m": 1.0}}}})
-    assert lookup(merged, "kpi", strategy="sdl", rho_mb=2.0, coeff="delta_m") == 0.5
-    assert lookup(merged, "kpi", strategy="sdl", rho_mb=7.7, coeff="delta_m") == 0.08
+    assert lookup(merged, "kpi", "sdl", 2.0, "delta_m") == 0.5
+    assert lookup(merged, "kpi", "sdl", 7.7, "delta_m") == 0.08
 
 
 # fitting
@@ -271,13 +308,22 @@ def test_read_measurement_csv_bad_value(tmp_path):
         read_measurement_csv(p)
 
 
+@pytest.mark.parametrize("row", ["2,nan", "inf,4", "2,-inf"])
+def test_read_measurement_csv_non_finite_value(tmp_path, row):
+    p = tmp_path / "m.csv"
+    p.write_text(f"predictor,response\n1,2\n{row}\n3,5\n")
+    with pytest.raises(ValueError) as exc:
+        read_measurement_csv(p)
+    assert str(exc.value) == f"{p}:3: non-finite value"
+
+
 def test_defaults_complete_for_model_needs(cal):
     # every key the formulas touch resolves without user input
     for strategy in ("sm-mr", "sm-md"):
         for rho in (1.0, 10.0, 100.0):
-            lookup(cal, "kpi", strategy=strategy, rho_mb=rho, coeff="delta_d")
+            lookup(cal, "kpi", strategy, rho, "delta_d")
     for cls in "ABCD":
-        lookup(cal, "sigma", cls=cls, rho_mb=1.0, nu_s=1.0)
+        lookup(cal, "sigma", cls, 1.0, 1.0)
         for metric in ("E", "CPU", "MEM", "DISK"):
-            lookup(cal, "sdl_linear", cls=cls, metric=metric, coeff="delta")
-            lookup(cal, "xapp_load", cls=cls, metric=metric)
+            lookup(cal, "sdl_linear", cls, metric, "delta")
+            lookup(cal, "xapp_load", cls, metric)

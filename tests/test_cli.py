@@ -302,7 +302,12 @@ def test_sweep_rows(tmp_path, scenario, capsys):
      "classes[0]: missing required key 'msg_period'"),
     ({"id": "A", "msg_size": 100.0, "msg_period": 1.0, "bogus": 1},
      "classes[0]: unknown key(s) 'bogus'"),
-], ids=["not-an-object", "missing-key", "unknown-key"])
+    # an id is a JSON string, never the text of another value
+    ({"id": None, "msg_size": 100.0, "msg_period": 1.0},
+     "classes[0].id: expected a string, got None"),
+    ({"id": ["x"], "msg_size": 100.0, "msg_period": 1.0},
+     "classes[0].id: expected a string, got ['x']"),
+], ids=["not-an-object", "missing-key", "unknown-key", "null-id", "list-id"])
 def test_malformed_class_entry_exits_1(tmp_path, scenario, entry, message,
                                        capsys):
     # scenario and sweep files share one class-list parser and its messages
@@ -331,6 +336,8 @@ def _first_server(entry):
 @pytest.mark.parametrize("doc, message", [
     (_first_server(_server(cpu_cap="x")),
      "servers[0].cpu_cap: expected a number, got 'x'"),
+    (_first_server(_server(id=1.5)),
+     "servers[0].id: expected a string, got 1.5"),
     (_first_server({"id": "s1", "cpu_cap": 128.0, "mem_cap": 125.0}),
      "servers[0]: missing required key 'disk_cap'"),
     # a complaint of the server itself gets the entry's place once
@@ -355,9 +362,10 @@ def _first_server(entry):
      "initial_active length must match servers"),
     (low_load_doc(pending_deploys={"Z": 1}),
      "pending_deploys: unknown class 'Z'"),
-], ids=["not-a-number", "missing-key", "zero-capacity", "optional-string",
-        "optional-two", "active-string", "huge-count", "unknown-count-class",
-        "short-row", "short-active", "unknown-pending-class"])
+], ids=["not-a-number", "number-id", "missing-key", "zero-capacity",
+        "optional-string", "optional-two", "active-string", "huge-count",
+        "unknown-count-class", "short-row", "short-active",
+        "unknown-pending-class"])
 def test_malformed_server_entry_exits_1(tmp_path, doc, message, capsys):
     bad = write_json(tmp_path / "s.json", doc)
     assert main(["plan", "--scenario", bad, "--out", str(tmp_path)]) == 1
@@ -381,8 +389,12 @@ def _params(**overrides):
      "limits.gap_target: must be >= 0, got -0.01"),
     (low_load_doc(), sweep_doc(rho_list_mb=[1.0, math.nan]),
      "rho_list_mb[1]: non-finite value"),
+    (low_load_doc(), sweep_doc(rho_list_mb=[-1.0]),
+     "rho_list_mb entries must be > 0"),
+    (low_load_doc(), sweep_doc(nu_list_s=[0]),
+     "nu_list_s entries must be > 0"),
 ], ids=["infinite-slot", "nan-cpu-cap", "nan-time-limit", "negative-gap",
-        "nan-rho"])
+        "nan-rho", "negative-rho", "zero-nu"])
 def test_non_finite_or_negative_number_exits_1(tmp_path, doc, grid, message,
                                                capsys):
     scenario = write_json(tmp_path / "s.json", doc)
@@ -611,10 +623,10 @@ def test_fit_bad_label_exits_1(tmp_path, capsys):
 
 # each label's coefficient, as calibration.lookup finds it
 _FITTED = {
-    "kpi.sm-mr.1.0.d": dict(strategy="sm-mr", rho_mb=1.0, coeff="delta_d"),
-    "kpi.sdl.*.m": dict(strategy="sdl", coeff="delta_m"),
-    "sigma.A.1.0.1.0": dict(cls="A", rho_mb=1.0, nu_s=1.0),
-    "sdl_linear.A.E": dict(cls="A", metric="E", coeff="delta"),
+    "kpi.sm-mr.1.0.d": ("sm-mr", 1.0, "delta_d"),
+    "kpi.sdl.*.m": ("sdl", "*", "delta_m"),
+    "sigma.A.1.0.1.0": ("A", 1.0, 1.0),
+    "sdl_linear.A.E": ("A", "E", "delta"),
 }
 
 
@@ -629,7 +641,7 @@ def test_fit_fragment_loads_back(tmp_path, capsys, label):
     doc = json.loads(capsys.readouterr().out)
     merged = load_calibration(doc["fragment"])
     block = label.split(".")[0]
-    assert lookup(merged, block, **_FITTED[label]) == doc["slope"]
+    assert lookup(merged, block, *_FITTED[label]) == doc["slope"]
 
 
 @pytest.mark.parametrize("label, response, message", [

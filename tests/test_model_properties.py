@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ricplan import ScenarioParams, XAppClass
 from ricplan import model as M
-from ricplan.calibration import kpi_coeffs, sigma_seconds, lookup
+from ricplan.calibration import lookup
 from tests.conftest import CLASS_DEFS, make_class, make_params
 
 RHOS = (1.0, 10.0, 100.0)
@@ -37,14 +37,14 @@ def test_sdl_downtime_identically_zero():
 @given(st.integers(min_value=1, max_value=499), rhos,
        st.sampled_from(["sm-mr", "sm-md"]))
 def test_downtime_increment_is_slope(cal, n, rho, strategy):
-    c = kpi_coeffs(cal, strategy, rho)
+    c = lookup(cal, "kpi", strategy, rho)
     inc = M.sm_downtime(strategy, n + 1, cal, rho) - M.sm_downtime(strategy, n, cal, rho)
     assert math.isclose(inc, c["delta_d"], rel_tol=1e-9, abs_tol=1e-9)
 
 
 @given(st.integers(min_value=1, max_value=499))
 def test_instantiation_increment_is_slope(cal, n):
-    c = kpi_coeffs(cal, "sdl", None)
+    c = lookup(cal, "kpi", "sdl", "*")
     inc = M.instantiation_time(n + 1, cal) - M.instantiation_time(n, cal)
     assert math.isclose(inc, c["delta_m"], rel_tol=1e-9, abs_tol=1e-9)
 
@@ -68,7 +68,7 @@ def test_defrag_monotone_in_counts(cal, population, cls, extra):
 
 @given(st.dictionaries(classes, counts, min_size=1, max_size=4))
 def test_defrag_is_sum_of_sigma(cal, population):
-    expect = sum(sigma_seconds(cal, c, 1.0, 1.0) * n
+    expect = sum(lookup(cal, "sigma", c, 1.0, 1.0) / 1000.0 * n
                  for c, n in population.items() if n > 0)
     got = M.defrag_downtime(population, cal, 1.0, 1.0)
     assert math.isclose(got, expect, rel_tol=1e-9, abs_tol=1e-12)
@@ -113,9 +113,9 @@ def test_rho_mb_units(n, size):
 
 @given(classes)
 def test_sigma_units_ms_to_s(cal, cls):
-    ms = lookup(cal, "sigma", cls=cls, rho_mb=1.0, nu_s=1.0)
-    assert math.isclose(sigma_seconds(cal, cls, 1.0, 1.0), ms / 1000.0,
-                        rel_tol=1e-12)
+    ms = lookup(cal, "sigma", cls, 1.0, 1.0)
+    assert math.isclose(M.defrag_downtime({cls: 1}, cal, 1.0, 1.0),
+                        ms / 1000.0, rel_tol=1e-12)
 
 
 @given(st.integers(min_value=1, max_value=100), st.integers(min_value=1, max_value=100))

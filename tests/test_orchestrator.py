@@ -27,7 +27,7 @@ from ricplan import (
 from tests.conftest import make_class, make_params, make_servers
 
 
-def opt_opt_mand(counts_a):
+def opt_opt_mand(counts_a, **pending):
     servers = (
         ServerSpec(id="s1", optional_flag=True, cpu_cap=128.0, mem_cap=125.0,
                    disk_cap=250.0),
@@ -37,7 +37,7 @@ def opt_opt_mand(counts_a):
                    disk_cap=250.0),
     )
     return ClusterState(servers=servers, initial_counts={"A": counts_a},
-                        initial_active=(1, 1, 1))
+                        initial_active=(1, 1, 1), **pending)
 
 
 def sweep_spec(**kw):
@@ -56,41 +56,49 @@ def sweep_spec(**kw):
 # undeploy / deploy bookkeeping
 
 def test_undeploy_drains_busiest_optional_first():
-    state = opt_opt_mand((3, 2, 1))
-    out = apply_undeployments(state, {"A": 2})
+    state = opt_opt_mand((3, 2, 1), pending_undeploys={"A": 2})
+    out = apply_undeployments(state)
     assert out.initial_counts["A"] == (1, 2, 1)
     assert not any(out.pending_undeploys.values())
 
 
 def test_undeploy_spares_mandatory_until_last():
-    state = opt_opt_mand((1, 1, 3))
-    out = apply_undeployments(state, {"A": 3})
+    state = opt_opt_mand((1, 1, 3), pending_undeploys={"A": 3})
+    out = apply_undeployments(state)
     # both optionals drained before the busier mandatory loses its first
     assert out.initial_counts["A"] == (0, 0, 2)
 
 
-def test_undeploy_uses_pending_by_default():
-    state = opt_opt_mand((3, 2, 1))
-    state = ClusterState(servers=state.servers, initial_counts={"A": (3, 2, 1)},
-                         initial_active=(1, 1, 1), pending_undeploys={"A": 2})
+def test_undeploy_weighs_every_class():
+    # the busiest server is judged by all the xApps it hosts: the A leaves
+    # s1 (3 hosted), not s2 (2 hosted, the most of class A)
+    servers = opt_opt_mand((0, 0, 0)).servers
+    state = ClusterState(servers=servers,
+                         initial_counts={"A": (1, 2, 1), "B": (2, 0, 1)},
+                         initial_active=(1, 1, 1),
+                         pending_undeploys={"A": 1, "B": 1})
     out = apply_undeployments(state)
-    assert out.initial_counts["A"] == (1, 2, 1)
+    assert out.initial_counts == {"A": (0, 2, 1), "B": (1, 0, 1)}
+    assert not any(out.pending_undeploys.values())
 
 
 def test_undeploy_zero_is_noop():
-    state = opt_opt_mand((3, 2, 1))
-    out = apply_undeployments(state, {"A": 0})
+    state = opt_opt_mand((3, 2, 1), pending_undeploys={"A": 0})
+    out = apply_undeployments(state)
     assert out.initial_counts["A"] == (3, 2, 1)
 
 
 def test_undeploy_rejects_bad_counts():
-    state = opt_opt_mand((3, 2, 1))
-    with pytest.raises(ValueError, match="only 6 hosted"):
-        apply_undeployments(state, {"A": 7})
-    with pytest.raises(ValueError, match="negative"):
-        apply_undeployments(state, {"A": -1})
-    with pytest.raises(ValueError, match="unknown class 'Z'"):
-        apply_undeployments(state, {"A": 1, "Z": 3})
+    # the cluster state refuses an undeploy request that cannot be carried out
+    for pending, message in [
+        ({"A": 7}, "pending_undeploys[A] exceeds hosted count"),
+        ({"A": -1},
+         "pending_undeploys[A] must be a non-negative integer, got -1"),
+        ({"A": 1, "Z": 3}, "pending_undeploys: unknown class 'Z'"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            opt_opt_mand((3, 2, 1), pending_undeploys=pending)
+        assert str(exc.value) == message
 
 
 def test_stage_deployments_replaces():

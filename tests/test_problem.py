@@ -492,8 +492,7 @@ def test_rules_match_model_bit_for_bit(case):
 
 
 _SOLVER_MODULES = ("bnb", "greedy", "orchestrator", "bruteforce")
-_LOOKUPS = {"kpi_coeffs", "load_coeff", "idle_coeff", "sdl_term",
-            "sm_overhead_coeff"}
+_LOOKUPS = {"lookup"}
 
 
 @pytest.mark.parametrize("name", _SOLVER_MODULES)
