@@ -1,4 +1,4 @@
-"""Exact consolidation solver: depth-first branch and bound over aggregates.
+"""Exact consolidation solver: best-bound branch and bound over aggregates.
 
 The search works on per-(class, server) aggregate counts (outgoing, incoming,
 deployed) plus the activation vector, not on the full origin/destination
@@ -35,23 +35,29 @@ fixed box is judged as its one point whether or not its LP succeeded, and
 then closes.
 
 Branching is deterministic: activation variables first (lowest index, the
-off-child explored first, with full-drain propagation), then the first open
+off-child pushed last, with full-drain propagation), then the first open
 aggregate whose LP value is fractional, else the first open one, splitting
 its bounds at the LP value (at its midpoint without an LP point).  Runs are
 sequential and reproducible.
 
-Stopping: each stack entry carries the lowest bound at or below it, so the
-certified floor, min(that floor, the node's bound, the incumbent), costs O(1)
-at every node that survives its bound test.  The solve stops with
-"gap_reached" at the first such node whose gap to the incumbent is within a
-positive `gap_target`, "time_limit" at the first pop past the deadline, and
-otherwise when the stack is empty ("optimal", or "infeasible" without an
-incumbent).  A `bound` trace event is appended whenever the floor rises.
+Node selection is best-bound (Land & Doig, 1960): the open nodes sit in a
+heap keyed on the bound each inherited from its parent, the lowest first
+and, among equal bounds, the node pushed last.  So the heap top is the
+lowest bound of any open box, and the certified floor, min(the heap top,
+the node's bound, the incumbent), costs O(1) at every node that survives its
+bound test, and rises as soon as the weakest open box is closed.
+
+Stopping: "gap_reached" at the first such node whose gap to the incumbent
+is within a positive `gap_target`, "time_limit" at the first pop past the
+deadline, and otherwise when the heap is empty ("optimal", or "infeasible"
+without an incumbent).  A `bound` trace event is appended whenever the floor
+rises.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import operator
@@ -86,11 +92,11 @@ _INT_TOL = 1e-6
 class _Node:
     """A box of the search space plus the best bound proven for it.
 
-    `lo` and `hi` bound the node vector (o | m | d | mu) of `_Solve`; on
-    the search stack, `floor` is the lowest bound at or below the node.
+    `lo` and `hi` bound the node vector (o | m | d | mu) of `_Solve`; an
+    open node waits in the search heap under the bound it inherited.
     """
 
-    __slots__ = ("bound", "lo", "hi", "floor")
+    __slots__ = ("bound", "lo", "hi")
 
     def __init__(self, bound, lo, hi):
         self.bound = bound
@@ -524,17 +530,16 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
     if seed is not None:
         accept(seed, seed.energy_total)
 
-    nodes, best_lb, stack = 0, -math.inf, []
+    nodes, best_lb, heap, order = 0, -math.inf, [], itertools.count()
 
     def push(node):
-        node.floor = min(node.bound, stack[-1].floor) if stack else node.bound
-        stack.append(node)
+        heapq.heappush(heap, (node.bound, -next(order), node))
 
     push(_root_node(ctx))
 
     def open_lb():
         """Certified floor: the lowest bound of an open box, or inc_obj."""
-        return min(stack[-1].floor if stack else math.inf, inc_obj)
+        return min(heap[0][0] if heap else math.inf, inc_obj)
 
     def finalize(status, detail="", lb=None):
         plan = incumbent
@@ -553,10 +558,10 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
             nodes_explored=nodes, detail=detail, trace=tuple(trace),
         )
 
-    while stack:
+    while heap:
         if time.perf_counter() - t0 > limits.time_limit:
             return finalize(STATUS_TIME, "time limit reached")
-        node = stack.pop()
+        node = heapq.heappop(heap)[2]
         nodes += 1
         if node.bound >= cutoff:
             continue
@@ -588,7 +593,7 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
                 if node.bound >= cutoff:
                     continue
 
-        # activation branching first; the on-child is explored second
+        # activation branching first; the on-child is pushed first
         s = next((s for s, (*_, a) in enumerate(ctx.at) if lo[a] < hi[a]),
                  None)
         if s is not None:

@@ -42,6 +42,7 @@ from .orchestrator import (
 )
 from .problem import (
     STATUS_INFEASIBLE,
+    STATUS_NO_PLAN,
     MigrationPlan,
     SolveLimits,
     build_problem,
@@ -153,7 +154,8 @@ def cmd_plan(args) -> int:
 
     if slot.plan is None:
         print(f"status={slot.report.status} detail={slot.report.detail}")
-        return 2 if slot.report.status == STATUS_INFEASIBLE else 0
+        return 2 if slot.report.status in (STATUS_INFEASIBLE,
+                                           STATUS_NO_PLAN) else 0
     _write_json(out / "plan.json", slot.plan.to_dict())
     gain = "" if slot.energy_gain is None else f" gain={slot.energy_gain:.6g}"
     print(

@@ -5,6 +5,8 @@ cannot legally drain, then packs everything else (drained xApps and pending
 deployments) onto the active set, heaviest energy class first, tightest
 fitting server first.  Opens additional optional servers only when an item
 fails to fit anywhere.  Fast and feasibility-oriented; gives no bound.
+It proves infeasibility only by the (21) backend budget; a plan it cannot
+build is reported as "no_plan", since another plan may exist.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .model import StrategyId, exceeds
 from .problem import (
     STATUS_GAP,
     STATUS_INFEASIBLE,
+    STATUS_NO_PLAN,
     SalProblem,
     SolveReport,
     annotate_plan,
@@ -37,7 +40,7 @@ def _heuristic_report(t0, objective, status, detail=""):
 
 
 def solve_greedy(problem: SalProblem, limits=None):
-    """A feasible consolidation plan, or an infeasibility report."""
+    """A feasible consolidation plan, or a report of why there is none."""
     t0 = time.perf_counter()
     n = problem.n_servers
     classes = problem.classes
@@ -118,7 +121,7 @@ def solve_greedy(problem: SalProblem, limits=None):
         closed = [s for s in range(n) if s not in active]
         if not closed:
             return None, _heuristic_report(
-                t0, None, STATUS_INFEASIBLE,
+                t0, None, STATUS_NO_PLAN,
                 "(18) demand exceeds active capacity even with all servers on",
             )
         active.append(closed[0])
@@ -137,7 +140,7 @@ def solve_greedy(problem: SalProblem, limits=None):
     check = validate_plan(problem, plan)
     if not check.valid:
         return None, _heuristic_report(
-            t0, None, STATUS_INFEASIBLE,
+            t0, None, STATUS_NO_PLAN,
             f"no feasible heuristic plan ({', '.join(check.violations)})",
         )
     plan = annotate_plan(problem, plan)

@@ -43,6 +43,8 @@ STATUS_OPTIMAL = "optimal"
 STATUS_GAP = "gap_reached"
 STATUS_TIME = "time_limit"
 STATUS_INFEASIBLE = "infeasible"
+# a heuristic found no plan; that proves nothing about the scenario
+STATUS_NO_PLAN = "no_plan"
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ class MigrationPlan:
 
 @dataclass
 class SolveReport:
-    status: str  # optimal | gap_reached | time_limit | infeasible
+    status: str  # optimal | gap_reached | time_limit | infeasible | no_plan
     objective: Optional[float]
     lower_bound: float
     runtime: float

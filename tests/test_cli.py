@@ -227,15 +227,19 @@ def test_plan_negative_downtime_intercept(tmp_path, solver, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "valid"
 
 
-def test_plan_without_greedy_seed_matches_bruteforce(tmp_path):
-    # greedy finds no plan here; bnb used to report "infeasible" (exit 2)
-    doc = low_load_doc(
+def _seedless_doc():
+    # greedy finds no plan here, but the scenario has one
+    return low_load_doc(
         classes=[{"id": "D", "msg_size": 100e3, "msg_period": 0.1}],
         servers=[{"id": f"s{i}", "optional": False, "cpu_cap": 10.0,
                   "mem_cap": 125.0, "disk_cap": 250.0} for i in (1, 2)],
         initial_counts={"D": [1, 3]},
         params={"state_size": 1.0e6, "strategy": "sdl"})
-    scenario = write_json(tmp_path / "s.json", doc)
+
+
+def test_plan_without_greedy_seed_matches_bruteforce(tmp_path):
+    # bnb used to report "infeasible" (exit 2) without greedy's seed
+    scenario = write_json(tmp_path / "s.json", _seedless_doc())
     objectives = []
     for solver in ("bnb", "bruteforce"):
         out = tmp_path / solver
@@ -245,6 +249,19 @@ def test_plan_without_greedy_seed_matches_bruteforce(tmp_path):
         objectives.append(report["objective_j"])
     assert objectives[0] == objectives[1]
     assert math.isclose(objectives[0], 1245169.3184, rel_tol=1e-6)
+
+
+def test_greedy_without_a_plan_reports_no_plan(tmp_path):
+    # a heuristic that finds nothing has not proven infeasibility: the
+    # report reads "no_plan", and the exit code is infeasible's 2
+    scenario = write_json(tmp_path / "s.json", _seedless_doc())
+    out = tmp_path / "greedy"
+    assert main(["plan", "--scenario", scenario, "--solver", "greedy",
+                 "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "no_plan"
+    assert report["objective_j"] is None
+    assert not (out / "plan.json").exists()
 
 
 def test_usage_error_exits_1():

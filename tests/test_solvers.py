@@ -1,5 +1,6 @@
 """Exhaustive oracle, branch-and-bound, and greedy heuristic."""
 
+import heapq
 import importlib
 import importlib.util
 import itertools
@@ -33,6 +34,7 @@ from ricplan.scenario import parse_scenario
 from ricplan.problem import (
     STATUS_GAP,
     STATUS_INFEASIBLE,
+    STATUS_NO_PLAN,
     STATUS_OPTIMAL,
     STATUS_TIME,
     MigrationPlan,
@@ -189,6 +191,97 @@ def test_bnb_stops_at_the_first_node_within_the_gap(cal):
     assert validate_plan(problem, plan).valid
 
 
+# draw 16 of the same family: under depth-first search the floor stayed at
+# the oldest sibling's bound, and the solve ran 45,757 nodes to optimal
+MEDIUM_SEED_16 = {
+    "classes": [{"id": "B", "msg_period": 0.1, "msg_size": 100.0},
+                {"id": "C", "msg_period": 1.0, "msg_size": 100000.0},
+                {"id": "D", "msg_period": 0.1, "msg_size": 100000.0}],
+    "initial_counts": {"B": [3, 3, 5, 2], "C": [7, 1, 3, 4],
+                       "D": [5, 0, 3, 2]},
+    "params": {"state_size": 10000000.0, "strategy": "sm-mr"},
+    "servers": [
+        {"cpu_cap": 64.0, "disk_cap": 250.0, "id": "s1", "mem_cap": 125.0,
+         "optional": False},
+        {"cpu_cap": 128.0, "disk_cap": 250.0, "id": "s2", "mem_cap": 64.0,
+         "optional": True},
+        {"cpu_cap": 64.0, "disk_cap": 250.0, "id": "s3", "mem_cap": 125.0,
+         "optional": True},
+        {"cpu_cap": 128.0, "disk_cap": 250.0, "id": "s4", "mem_cap": 64.0,
+         "optional": True}],
+}
+
+
+def _parsed(doc):
+    scen = parse_scenario(doc)
+    return scen.state, scen.params
+
+
+@pytest.mark.parametrize("make, most", [
+    (lambda cal: build_problem(*_parsed(MEDIUM_SEED_16), cal), 300),
+    # depth-first search took 33,855 nodes, all the way to optimal
+    (lambda cal: _scale_problem(cal, 120), 3000),
+], ids=["medium-16", "scale-120"])
+def test_best_bound_search_meets_the_gap_target(cal, make, most):
+    # best-bound search pops the weakest open box first, so the floor rises
+    # as the search goes and a 1 % target is met long before optimality
+    problem = make(cal)
+    plan, report = solve_bnb(problem,
+                             SolveLimits(time_limit=60.0, gap_target=0.01))
+    assert report.status == STATUS_GAP
+    assert report.mip_gap <= 0.01
+    assert report.nodes_explored <= most
+    assert validate_plan(problem, plan).valid
+
+
+class _PopClock:
+    """A clock for `bnb.time` that reads 0 at the solve's start and until
+    `k` nodes have been popped from the search heap, and past any deadline
+    after that."""
+
+    def __init__(self, k):
+        self.k, self.pops, self.started = k, 0, False
+
+    def perf_counter(self):
+        if not self.started:
+            self.started = True
+            return 0.0
+        return 0.0 if self.pops < self.k else 1e9
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=0, max_value=30))
+def test_bnb_time_stop_floor_is_certified(cal, seed, k):
+    # a solve stopped at its deadline after k pops reports the heap top's
+    # floor: at most the optimum and the incumbent, and the last bound event;
+    # the first draw whose whole search pops more than k nodes is stopped
+    rng = random.Random(seed)
+    while True:
+        problem = build_problem(*random_instance(rng), cal)
+        if solve_bnb(problem, SolveLimits())[1].nodes_explored > k:
+            break
+    _, exact = solve_bruteforce(problem, SolveLimits())
+    clock = _PopClock(k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bnb, "time", clock)
+        mp.setattr(bnb, "heapq", SimpleNamespace(heappush=heapq.heappush,
+                                                 heappop=clock.heappop))
+        _, report = solve_bnb(problem, SolveLimits(time_limit=1.0))
+    assert report.status == STATUS_TIME
+    assert clock.pops == k
+    if exact.status == STATUS_OPTIMAL:
+        assert report.lower_bound <= exact.objective * (1 + 1e-9)
+    if report.objective is not None:
+        assert report.lower_bound <= report.objective * (1 + 1e-9)
+    bounds = [v for kind, _, v in report.trace if kind == "bound"]
+    assert bounds[-1] == report.lower_bound
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.sampled_from([0.002, 0.05, 0.2]))
@@ -232,7 +325,9 @@ def test_greedy_capacity_infeasible(cal):
     problem = build_problem(state, make_params("sm-mr"), cal)
     plan, report = solve_greedy(problem)
     assert plan is None
-    assert report.status == STATUS_INFEASIBLE
+    # a heuristic that finds nothing has not proven infeasibility
+    assert report.status == STATUS_NO_PLAN
+    assert "(18)" in report.detail
 
 
 def test_greedy_never_beats_bnb(cal, low_load_state, low_load_params):
@@ -530,8 +625,8 @@ def _sdl_search_problem(cal):
 # these figures and records the new ones in CHANGES.md.
 PINNED = [
     (_small_search_problem, 1219896.312, 21),
-    (lambda cal: _scale_problem(cal, 116), 3277123.1532, 553),
-    (_sdl_search_problem, 1322720.913, 263),
+    (lambda cal: _scale_problem(cal, 116), 3277123.1532, 549),
+    (_sdl_search_problem, 1322720.913, 75),
 ]
 PINNED_IDS = ["small", "scale-116", "sdl"]
 
