@@ -10,8 +10,10 @@ energy model and the full plan validator, so the reported objective is
 always a true, feasible plan energy.
 
 Each solve builds one `_Solve`, which holds the problem's constants, the
-column layout and the node LP, its matrix written row by row; a node is a
-box `lo`, `hi` over its node vector (o | m | d | mu).  Only the column
+column layout and the node LP, its matrix written row by row.  A node is its
+heap entry (bound, -order, lo, hi): the box `lo`, `hi` over the node vector
+(o | m | d | mu), the bound it inherited and its push order.  A child copies
+each list it changes and shares the one it does not.  Only the column
 bounds, the envelope coefficients `env` and the envelope and downtime
 right-hand sides depend on the node, and each of them belongs to one server:
 `_solve_lp` keeps per server the last box it saw, and rewrites a server's
@@ -89,24 +91,6 @@ from .problem import (
 _INT_TOL = 1e-6
 
 
-class _Node:
-    """A box of the search space plus the best bound proven for it.
-
-    `lo` and `hi` bound the node vector (o | m | d | mu) of `_Solve`; an
-    open node waits in the search heap under the bound it inherited.
-    """
-
-    __slots__ = ("bound", "lo", "hi")
-
-    def __init__(self, bound, lo, hi):
-        self.bound = bound
-        self.lo = lo
-        self.hi = hi
-
-    def child(self):
-        return _Node(self.bound, list(self.lo), list(self.hi))
-
-
 class _Solve:
     """One solve: the problem's constants, the column layout and the node LP.
 
@@ -134,9 +118,9 @@ class _Solve:
     the node.  env holds 6 entries per server and node_rows one row of
     entries per server (its 2 envelope rows, then its downtime row outside
     sdl).  `_solve_lp` writes those before each solve, server by server:
-    `boxes[s]` is the last box of server s it saw and whether that box
-    passed the slot prune, one entry per server; `dirty` holds the servers
-    whose box changed since `linprog` last pushed their values into
+    `boxes[s]` is a box plus its prune verdict, the last box of server s it
+    saw and whether that box passed the slot prune; `dirty` holds the
+    servers whose box changed since `linprog` last pushed their values into
     `highs`, the solve's live HiGHS model.
     """
 
@@ -284,7 +268,8 @@ def _node_lp(ctx):
     ctx.boxes, ctx.dirty = [(None, False)] * S, set()
 
 
-def _root_node(ctx):
+def _root_box(ctx):
+    """The box (lo, hi) of the whole search space."""
     servers = ctx.problem.state.servers
     lo = [0] * ctx.node_cols.size
     hi = list(lo)
@@ -292,14 +277,13 @@ def _root_node(ctx):
         lo[a], hi[a] = 0 if servers[s].optional_flag else 1, 1
         for k, (o, m, d) in enumerate(zip(o_s, m_s, d_s)):
             hi[o], hi[m], hi[d] = ctx.n0[k][s], ctx.pool[k], ctx.pend[k]
-    return _Node(-math.inf, lo, hi)
+    return lo, hi
 
 
-def _solve_lp(ctx, node):
-    """LP relaxation of the node: (value, x); (None, None) when the box is
-    proven infeasible, and (-inf, None) when the LP failed and proves
-    nothing."""
-    lo, hi = node.lo, node.hi
+def _solve_lp(ctx, lo, hi):
+    """LP relaxation over the box `lo`, `hi`: (value, x); (None, None) when
+    the box is proven infeasible, and (-inf, None) when the LP failed and
+    proves nothing."""
     for s, pick in enumerate(ctx.pick):
         box = pick(lo), pick(hi)
         seen = ctx.boxes[s]
@@ -506,15 +490,12 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
     t0 = time.perf_counter()
     trace = []
 
-    params, cal = problem.params, problem.cal
-    if params.strategy is StrategyId.SDL:
-        feas = model.sdl_feasible(problem.totals, params, cal)
-        if not feas.feasible:
-            return None, SolveReport(
-                status=STATUS_INFEASIBLE, objective=None, lower_bound=math.inf,
-                runtime=time.perf_counter() - t0, nodes_explored=0,
-                detail="(21) backend maintenance budget", trace=(),
-            )
+    if not problem.maintenance.feasible:
+        return None, SolveReport(
+            status=STATUS_INFEASIBLE, objective=None, lower_bound=math.inf,
+            runtime=time.perf_counter() - t0, nodes_explored=0,
+            detail="(21) backend maintenance budget",
+        )
 
     ctx = _context(problem)
     # nodes bounded at `cutoff` or more cannot beat the incumbent (+inf: none)
@@ -532,10 +513,10 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
 
     nodes, best_lb, heap, order = 0, -math.inf, [], itertools.count()
 
-    def push(node):
-        heapq.heappush(heap, (node.bound, -next(order), node))
+    def push(bound, lo, hi):
+        heapq.heappush(heap, (bound, -next(order), lo, hi))
 
-    push(_root_node(ctx))
+    push(-math.inf, *_root_box(ctx))
 
     def open_lb():
         """Certified floor: the lowest bound of an open box, or inc_obj."""
@@ -547,10 +528,7 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
         if plan is not None and plan.energy_total is None:
             plan = annotate_plan(problem, plan)
         obj = None if plan is None else inc_obj
-        if status == STATUS_OPTIMAL:
-            lb = obj
-        elif lb is None:
-            lb = open_lb()
+        lb = open_lb() if lb is None else lb
         trace.append(("bound", time.perf_counter() - t0, lb))
         return plan, SolveReport(
             status=status, objective=obj, lower_bound=lb,
@@ -561,18 +539,18 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
     while heap:
         if time.perf_counter() - t0 > limits.time_limit:
             return finalize(STATUS_TIME, "time limit reached")
-        node = heapq.heappop(heap)[2]
+        bound, _, lo, hi = heapq.heappop(heap)
         nodes += 1
-        if node.bound >= cutoff:
+        if bound >= cutoff:
             continue
-        node_lp, node_x = _solve_lp(ctx, node)
+        node_lp, node_x = _solve_lp(ctx, lo, hi)
         if node_lp is None:
             continue
-        node.bound = max(node.bound, node_lp)
-        if node.bound >= cutoff:
+        bound = max(bound, node_lp)
+        if bound >= cutoff:
             continue
 
-        glb = min(open_lb(), node.bound)
+        glb = min(open_lb(), bound)
         if glb > best_lb:
             best_lb = glb
             trace.append(("bound", time.perf_counter() - t0, glb))
@@ -580,7 +558,6 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
                 mip_gap(inc_obj, glb) <= limits.gap_target:
             return finalize(STATUS_GAP, "gap target reached", lb=glb)
 
-        lo, hi = node.lo, node.hi
         # a fixed box is judged as its one point, whatever its LP returned
         if lo == hi:
             cand = _split(ctx, lo)
@@ -590,7 +567,7 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
             hit = _try_candidate(ctx, *cand)
             if hit is not None and hit[1] < cutoff:
                 accept(*hit)
-                if node.bound >= cutoff:
+                if bound >= cutoff:
                     continue
 
         # activation branching first; the on-child is pushed first
@@ -598,16 +575,16 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
                  None)
         if s is not None:
             o_s, m_s, d_s, a = ctx.at[s]
-            on = node.child()
-            on.lo[a] = 1
-            push(on)
+            on_lo = list(lo)
+            on_lo[a] = 1
+            push(bound, on_lo, hi)
             if drain_ok(problem, s):
-                off = node.child()
-                off.hi[a] = 0
+                off_lo, off_hi = list(lo), list(hi)
+                off_hi[a] = 0
                 for k, (o, m, d) in enumerate(zip(o_s, m_s, d_s)):
-                    off.lo[o] = off.hi[o] = ctx.n0[k][s]
-                    off.lo[m] = off.hi[m] = off.lo[d] = off.hi[d] = 0
-                push(off)
+                    off_lo[o] = off_hi[o] = ctx.n0[k][s]
+                    off_lo[m] = off_hi[m] = off_lo[d] = off_hi[d] = 0
+                push(bound, off_lo, off_hi)
             continue
 
         # first fractional open aggregate, else the first open one; without
@@ -623,11 +600,11 @@ def solve_bnb(problem: SalProblem, limits: SolveLimits = None):
                       if abs(node_x[i] - round(node_x[i])) > _INT_TOL),
                      open_cols[0])
             pivot = min(max(int(math.floor(node_x[i])), lo[i]), hi[i] - 1)
-        low, high = node.child(), node.child()
-        low.hi[i] = pivot
-        high.lo[i] = pivot + 1
-        push(high)
-        push(low)
+        low_hi, high_lo = list(hi), list(lo)
+        low_hi[i] = pivot
+        high_lo[i] = pivot + 1
+        push(bound, high_lo, hi)
+        push(bound, lo, low_hi)
 
     if incumbent is None:
         return finalize(STATUS_INFEASIBLE,

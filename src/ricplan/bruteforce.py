@@ -4,9 +4,10 @@ Enumerates every activation vector and every per-row destination split, and
 judges each complete assignment through the reference path only:
 `validate_plan` for feasibility and `objective_eval` for energy.  It keeps no
 model or constraint arithmetic of its own, so it stays independent of the
-fast paths the other solvers take.  Intended as the ground-truth oracle at
-desk scale; refuses instances whose search-space estimate exceeds the
-evaluation cap.
+fast paths the other solvers take.  Up front it reads the problem's (21)
+verdict, which depends on the population alone.  Intended as the
+ground-truth oracle at desk scale; refuses instances whose search-space
+estimate exceeds the evaluation cap.
 
 Every split fixes every row sum, so a candidate's validity and energy depend
 only on its aggregate (mu, per-class outgoing/incoming/deployed counts per
@@ -18,6 +19,7 @@ count of evaluated splits.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from itertools import product
@@ -31,7 +33,6 @@ from .problem import (
     SolveReport,
     annotate_plan,
     drain_ok,
-    identity_plan,
     objective_eval,
     validate_plan,
 )
@@ -51,9 +52,7 @@ class SearchSpaceError(ValueError):
 
 
 def _compositions(total: int, slots: int):
-    """All ways to split `total` over `slots` ordered bins, ascending lex."""
-    if slots == 0:
-        return [()] if total == 0 else []
+    """All ways to split `total` over `slots` >= 1 bins, ascending lex."""
     if slots == 1:
         return [(total,)]
     out = []
@@ -95,9 +94,8 @@ def solve_bruteforce(problem: SalProblem, limits: SolveLimits = None):
         )
 
     # backend infeasibility (21) depends on the population alone, so every
-    # candidate shares the identity plan's verdict; check before refusing on
-    # size
-    if "(21)" in validate_plan(problem, identity_plan(problem)).violations:
+    # candidate shares its verdict; check before refusing on size
+    if not problem.maintenance.feasible:
         return None, report(STATUS_INFEASIBLE, None, 0, "(21)")
 
     est = search_space_estimate(problem)
@@ -108,7 +106,7 @@ def solve_bruteforce(problem: SalProblem, limits: SolveLimits = None):
     mu_axes = [[1] if not srv.optional_flag else [0, 1]
                for srv in problem.state.servers]
     drainable = [drain_ok(problem, s) for s in range(n)]
-    comp_cache = {}
+    splits = functools.cache(_compositions)  # this solve's splits
     judged = set()  # aggregates already judged
 
     best_obj = None
@@ -116,28 +114,15 @@ def solve_bruteforce(problem: SalProblem, limits: SolveLimits = None):
     evaluated = 0
 
     for mu in product(*mu_axes):
-        active = [s for s in range(n) if mu[s]]
-        if not active:
-            continue  # at least one mandatory server exists
         # a server that powers off must drain completely; validate_plan would
         # reject every split of such a mu, so skip them without counting
         if not all(mu[s] or drainable[s] for s in range(n)):
             continue
 
-        # destination splits per row, restricted to active servers
-        per_row = []
-        feasible_mu = True
-        for cls, src in rows:
-            count = staged[cls][src]
-            key = (count, len(active))
-            if key not in comp_cache:
-                comp_cache[key] = _compositions(count, len(active))
-            if count > 0 and not comp_cache[key]:
-                feasible_mu = False
-                break
-            per_row.append(comp_cache[key])
-        if not feasible_mu:
-            continue
+        # destination splits per row over the active servers (mandatory
+        # ones included, so every row has one)
+        active = [s for s in range(n) if mu[s]]
+        per_row = [splits(staged[cls][src], len(active)) for cls, src in rows]
 
         for combo in product(*per_row):
             evaluated += 1

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import time
 
-from . import model
 from .model import StrategyId, exceeds
 from .problem import (
     STATUS_GAP,
@@ -44,12 +43,12 @@ def solve_greedy(problem: SalProblem, limits=None):
     t0 = time.perf_counter()
     n = problem.n_servers
     classes = problem.classes
-    params, cal = problem.params, problem.cal
+    params = problem.params
     servers = problem.state.servers
     staged = problem.staged
     sdl = params.strategy is StrategyId.SDL
 
-    if sdl and not model.sdl_feasible(problem.totals, params, cal).feasible:
+    if not problem.maintenance.feasible:
         return None, _heuristic_report(
             t0, None, STATUS_INFEASIBLE, "(21) backend maintenance budget"
         )
@@ -62,7 +61,8 @@ def solve_greedy(problem: SalProblem, limits=None):
     order = sorted(range(len(classes)), key=lambda k: -load_e[k])
 
     def try_pack(active):
-        """Place drained xApps and deployments; None if something won't fit.
+        """Place drained xApps and deployments: (arrivals, deploys), None;
+        or None and the rule that stopped the packing.
 
         Sources all power off, so only the backend strategy charges the
         active servers its overhead.
@@ -96,12 +96,12 @@ def solve_greedy(problem: SalProblem, limits=None):
             for _ in range(migrated):
                 s = best_fit(k)
                 if s is None:
-                    return None
+                    return None, "(18) demand exceeds active capacity"
                 arrivals[cls][s] += 1
             for _ in range(staged[cls][n]):
                 s = best_fit(k)
                 if s is None:
-                    return None
+                    return None, "(18) demand exceeds active capacity"
                 deploys[cls][s] += 1
 
         # instantiation windows must fit the slot
@@ -110,20 +110,18 @@ def solve_greedy(problem: SalProblem, limits=None):
             w = source_window(problem, no_moves,
                               [deploys[cls][s] for cls in classes])
             if exceeds(w, params.slot_length):
-                return None
-        return arrivals, deploys
+                return None, "window: instantiation exceeds the slot"
+        return (arrivals, deploys), None
 
     active = list(must_on)
     while True:
-        packed = try_pack(active)
+        packed, stop = try_pack(active)
         if packed is not None:
             break
         closed = [s for s in range(n) if s not in active]
         if not closed:
             return None, _heuristic_report(
-                t0, None, STATUS_NO_PLAN,
-                "(18) demand exceeds active capacity even with all servers on",
-            )
+                t0, None, STATUS_NO_PLAN, f"{stop} even with all servers on")
         active.append(closed[0])
 
     arrivals, deploys = packed

@@ -29,6 +29,7 @@ from .model import (
     XAppClass,
 )
 from .problem import (
+    STATUS_INFEASIBLE,
     MigrationPlan,
     SolveLimits,
     SolveReport,
@@ -368,7 +369,10 @@ def energy_sweep(spec: SweepSpec, servers: Sequence[ServerSpec],
             continue
         elapsed = time.perf_counter() - t0
         if slot.plan is None:
-            rows.append(_row(*point, False, runtime=elapsed))
+            # False needs a proof; no_plan or time_limit leaves it open
+            proved = slot.report.status == STATUS_INFEASIBLE
+            rows.append(_row(*point, False if proved else None,
+                             runtime=elapsed))
         else:
             rows.append(_row(*point, True, gain=slot.energy_gain,
                              ratio=slot.activation_ratio,

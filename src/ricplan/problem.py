@@ -123,6 +123,16 @@ class SalProblem:
             lookup(cal, "sm_overhead", strategy.value, "E"),
         )
 
+    @cached_property
+    def maintenance(self) -> model.SdlFeasibility:
+        """The (21) backend maintenance verdict, which depends on the
+        population alone; always feasible under a stateful strategy."""
+        params = self.params
+        if params.strategy is StrategyId.SDL:
+            return model.sdl_feasible(self.totals, params, self.cal)
+        return model.SdlFeasibility(feasible=True, defrag_downtime=0.0,
+                                    active_time=params.maintenance_period)
+
 
 class PlanError(ValueError):
     """A plan file or document failed validation."""
@@ -446,12 +456,11 @@ def validate_plan(problem: SalProblem, plan: MigrationPlan) -> ValidationResult:
                             f"budget {params.max_sm_downtime:.6g} s")
 
     # (21) backend maintenance feasibility, backend strategy only
-    if params.strategy is StrategyId.SDL:
-        verdict = model.sdl_feasible(problem.totals, params, problem.cal)
-        if not verdict.feasible:
-            hit("(21)", f"defrag downtime {verdict.defrag_downtime:.6g} s "
-                        f"(budget {params.max_defrag_downtime:.6g} s, "
-                        f"active time {verdict.active_time:.6g} s)")
+    verdict = problem.maintenance
+    if not verdict.feasible:
+        hit("(21)", f"defrag downtime {verdict.defrag_downtime:.6g} s "
+                    f"(budget {params.max_defrag_downtime:.6g} s, "
+                    f"active time {verdict.active_time:.6g} s)")
 
     # migration windows must fit in the slot
     for s in range(n):
@@ -510,15 +519,11 @@ def plan_kpis(problem: SalProblem, plan: MigrationPlan) -> KpiBundle:
         inst[cls] = tuple(
             model.instantiation_time(d[cls][s], cal) for s in range(n)
         )
-    if strategy is StrategyId.SDL:
-        totals = problem.totals
-        t_df = model.defrag_downtime(totals, cal, rho, params.maintenance_period)
-        active = params.maintenance_period - t_df
-    else:
-        t_df = 0.0
-        active = params.maintenance_period
+    backend = problem.maintenance
     return KpiBundle(downtime=downtime, migration_duration=duration,
-                     instantiation=inst, defrag_downtime=t_df, active_time=active)
+                     instantiation=inst,
+                     defrag_downtime=backend.defrag_downtime,
+                     active_time=backend.active_time)
 
 
 def annotate_plan(problem: SalProblem, plan: MigrationPlan) -> MigrationPlan:

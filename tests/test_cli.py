@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -313,6 +316,29 @@ def test_sweep_rows(tmp_path, scenario, capsys):
     assert all(l.endswith(",") for l in csv_lines[1:])
 
 
+def test_sweep_feasible_reads_false_only_on_a_proof(tmp_path):
+    # two mandatory 12-CPU servers, 9 then 40 xApps of classes D and A:
+    # greedy finds no plan for either row and proves nothing, so it leaves
+    # `feasible` empty; bnb plans 9 and proves 40 infeasible
+    doc = low_load_doc(
+        classes=[{"id": "D", "msg_size": 100e3, "msg_period": 0.1},
+                 {"id": "A", "msg_size": 100.0, "msg_period": 1.0}],
+        servers=[{"id": s, "optional": False, "cpu_cap": 12.0,
+                  "mem_cap": 125.0, "disk_cap": 250.0} for s in ("s1", "s2")],
+        initial_counts={"D": [0, 0], "A": [0, 0]})
+    scenario = write_json(tmp_path / "s.json", doc)
+    sweep = write_json(tmp_path / "grid.json", sweep_doc(
+        classes=doc["classes"], dominant_class="D", count_range=[9, 40]))
+    feasible = {}
+    for solver in ("greedy", "bnb"):
+        out = tmp_path / solver
+        assert main(["sweep", "--scenario", scenario, "--sweep", sweep,
+                     "--solver", solver, "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        feasible[solver] = [row.split(",")[5] for row in rows]
+    assert feasible == {"greedy": ["", ""], "bnb": ["true", "false"]}
+
+
 @pytest.mark.parametrize("entry, message", [
     ("A", "classes[0]: expected an object"),
     ({"id": "A", "msg_size": 100.0},
@@ -489,6 +515,22 @@ def test_validate_round_trip(tmp_path, scenario, capsys):
                "--plan", str(out / "plan.json")])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "valid"
+
+
+def test_python_m_ricplan_runs_the_cli(tmp_path, scenario):
+    # `python -m ricplan` is the same front end as the `ricplan` script
+    out = tmp_path / "out"
+    assert main(["plan", "--scenario", scenario, "--out", str(out)]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, "-m", "ricplan", "validate", "--scenario", scenario,
+         "--plan", str(out / "plan.json")],
+        capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout) == (0, "valid\n")
+    run = subprocess.run([sys.executable, "-m", "ricplan", "plan"],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 1
+    assert "--scenario" in run.stderr
 
 
 def test_validate_hand_edit_exits_3(tmp_path, scenario, capsys):

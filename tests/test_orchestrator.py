@@ -219,6 +219,38 @@ def test_run_timeslot_infeasible_keeps_state(cal):
     assert slot.next_state.initial_active == state.initial_active
 
 
+def test_run_timeslot_applies_pending_undeploys(cal, low_load_state,
+                                               low_load_params):
+    state = ClusterState(servers=low_load_state.servers,
+                         initial_counts=low_load_state.initial_counts,
+                         initial_active=low_load_state.initial_active,
+                         pending_undeploys={"A": 3})
+    slot = run_timeslot(state, low_load_params, cal, solver="bnb")
+    assert sum(slot.next_state.initial_counts["A"]) == 7
+    assert not any(slot.next_state.pending_undeploys.values())
+    applied = run_timeslot(apply_undeployments(state), low_load_params, cal,
+                           solver="bnb")
+    assert (slot.plan, slot.next_state) == (applied.plan, applied.next_state)
+
+
+def test_run_timeslot_plans_past_an_infeasible_baseline(cal):
+    # the baseline stacks all 12 deploys on the empty s2, a 5.23 s
+    # instantiation window over the 5 s slot; the solver still plans
+    servers = make_servers(2)
+    state = ClusterState(servers=servers,
+                         initial_counts={"A": (0, 0), "B": (3, 0)},
+                         initial_active=(1, 1), pending_deploys={"A": 12})
+    params = make_params("sm-mr", slot=5.0)
+    with pytest.raises(BaselineInfeasible, match="instantiation window"):
+        baseline_plan(state, params, cal)
+    slot = run_timeslot(state, params, cal, solver="bnb")
+    assert slot.report.status == "optimal"
+    assert not slot.baseline_feasible
+    assert slot.baseline_energy is None
+    assert slot.energy_gain is None
+    assert slot.plan is not None
+
+
 def test_run_timeslot_deploys_enter_population(cal, low_load_state,
                                                low_load_params):
     staged = stage_deployments(low_load_state, {"A": 3})

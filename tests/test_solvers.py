@@ -40,6 +40,7 @@ from ricplan.problem import (
     MigrationPlan,
     objective_eval,
     plan_from_aggregates,
+    source_window,
 )
 from tests.conftest import make_class, make_params, make_servers
 
@@ -330,6 +331,23 @@ def test_greedy_capacity_infeasible(cal):
     assert "(18)" in report.detail
 
 
+@pytest.mark.parametrize("strategy", ["sm-mr", "sdl"])
+def test_greedy_names_the_window_that_stops_it(cal, strategy):
+    # the 12 deploys fit by capacity, but best fit stacks them on one server,
+    # whose instantiation window (0.08 s * 12 + 4.27 s) blows the 5 s slot
+    state = ClusterState(servers=make_servers(3),
+                         initial_counts={"A": (2, 1, 1)},
+                         initial_active=(1, 1, 1), pending_deploys={"A": 12})
+    problem = build_problem(state, make_params(strategy, slot=5.0), cal)
+    plan, report = solve_greedy(problem)
+    assert plan is None
+    assert report.status == STATUS_NO_PLAN
+    assert report.detail.startswith("window")
+    assert "(18)" not in report.detail
+    _, exact = solve_bnb(problem, SolveLimits())
+    assert exact.status == STATUS_OPTIMAL
+
+
 def test_greedy_never_beats_bnb(cal, low_load_state, low_load_params):
     problem = build_problem(low_load_state, low_load_params, cal)
     gplan, greport = solve_greedy(problem)
@@ -560,9 +578,8 @@ def test_bnb_lp_keeps_box_within_window_tolerance(cal):
     assert validate_plan(problem, drained).valid
 
     # the off branch for s2, bounding (o1 o2 | m1 m2 | d1 d2 | mu1 mu2)
-    off = bnb._Node(-math.inf, [0, 5, 0, 0, 0, 0, 1, 0],
-                    [0, 5, 5, 0, 0, 0, 1, 0])
-    value, _ = bnb._solve_lp(bnb._context(problem), off)
+    off = [0, 5, 0, 0, 0, 0, 1, 0], [0, 5, 5, 0, 0, 0, 1, 0]
+    value, _ = bnb._solve_lp(bnb._context(problem), *off)
     assert value is not None
     assert value <= objective_eval(problem, drained) * (1 + 1e-9)
 
@@ -583,11 +600,65 @@ def test_bnb_lp_keeps_box_within_downtime_tolerance():
     energy = objective_eval(problem, drained)
     assert energy == pytest.approx(494515.1, rel=1e-9)
 
-    off = bnb._Node(-math.inf, [0, 5, 0, 0, 0, 0, 1, 0],
-                    [0, 5, 5, 0, 0, 0, 1, 0])
-    value, _ = bnb._solve_lp(bnb._context(problem), off)
+    off = [0, 5, 0, 0, 0, 0, 1, 0], [0, 5, 5, 0, 0, 0, 1, 0]
+    value, _ = bnb._solve_lp(bnb._context(problem), *off)
     assert value is not None
     assert value <= energy * (1 + 1e-9)
+
+
+def test_slot_prune_closes_a_box_without_an_lp(cal, monkeypatch):
+    # one sm-mr migration takes 10.55 s, over the 10 s slot: a box that
+    # forces one out of a server closes before its LP is sent
+    state = ClusterState(servers=make_servers(3),
+                         initial_counts={"A": (3, 3, 2)},
+                         initial_active=(1, 1, 1))
+    problem = build_problem(state, make_params("sm-mr", slot=10.0), cal)
+    live, solve_lp, lps, pruned = bnb.linprog, bnb._solve_lp, [], []
+
+    def counted(lp):
+        lps.append(None)
+        return live(lp)
+
+    def watched(ctx, lo, hi):
+        before = len(lps)
+        result = solve_lp(ctx, lo, hi)
+        if len(lps) == before:
+            pruned.append(result)
+            # some server's lowest window in the box blows the slot
+            assert any(source_window(problem, [lo[i] for i in o_s],
+                                     [lo[i] for i in d_s]) > 10.0
+                       for o_s, _, d_s, _ in ctx.at)
+        return result
+
+    monkeypatch.setattr(bnb, "linprog", counted)
+    monkeypatch.setattr(bnb, "_solve_lp", watched)
+    _, report = solve_bnb(problem, SolveLimits())
+    assert pruned and set(pruned) == {(None, None)}
+    _, exact = solve_bruteforce(problem, SolveLimits())
+    assert report.status == exact.status == STATUS_OPTIMAL
+    assert report.objective == pytest.approx(exact.objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("b_m", [2.0, 30.0])
+def test_bnb_prices_a_positive_engine_intercept(b_m):
+    # a positive sm-mr duration intercept b_m runs the migration engine for
+    # b_m more seconds per class leaving a server: the LP prices it through
+    # the tm indicator columns, and bnb still finds the oracle's optimum
+    cal = load_calibration({"kpi": {"sm-mr": {"1.0": {
+        "delta_d": 10.55, "b_d": 0.0, "delta_m": 10.55, "b_m": b_m}}}})
+    rng = random.Random(26)
+    priced = 0
+    for _ in range(12):
+        state, _ = random_instance(rng)
+        problem = build_problem(state, make_params("sm-mr"), cal)
+        priced += bnb._context(problem).use_tm
+        _, exact = solve_bruteforce(problem, SolveLimits())
+        _, report = solve_bnb(problem, SolveLimits())
+        assert report.status == exact.status
+        if exact.status == STATUS_OPTIMAL:
+            assert report.objective == pytest.approx(exact.objective,
+                                                     rel=1e-9)
+    assert priced
 
 
 def _scale_problem(cal, total):
@@ -657,7 +728,7 @@ def test_solve_layout_names_every_lp_column_once(cal):
     # the root box: the staged count, the class's pool and its pending
     # deploys bound outgoing, incoming and deployed on every server
     S = problem.n_servers
-    hi = bnb._root_node(ctx).hi
+    _, hi = bnb._root_box(ctx)
     for k, cls in enumerate(problem.classes):
         staged = problem.staged[cls]
         for s in range(S):
@@ -829,10 +900,14 @@ def _failing_lp(real, fail_at):
 
 # greedy's seed is above the optimum here; failing the root LP or the sixth
 # LP (call 5) used to prune the optimum's box and still report "optimal";
-# "rejected-model" has HiGHS refuse the node LP (`_load` returns None), so
-# every LP of the solve fails, and the solve loads the model only once
-@pytest.mark.parametrize("fail_at", [0, 5, None, "load"],
-                         ids=["root", "inner", "every", "rejected-model"])
+# "rejected-model" has HiGHS refuse the node LP (an infinite coefficient,
+# so `_load` returns None), every LP of the solve fails, and the solve loads
+# the model only once; "residual-check" moves the right-hand side of an
+# equality row that no node rewrites after the load, so every point HiGHS
+# returns fails linprog's residual check
+@pytest.mark.parametrize("fail_at", [0, 5, None, "load", "residual"],
+                         ids=["root", "inner", "every", "rejected-model",
+                              "residual-check"])
 def test_failed_lp_never_closes_a_node(cal, fail_at, monkeypatch):
     state = ClusterState(
         servers=make_servers(3, n_mandatory=2, cpu=64.0, mem=64.0),
@@ -843,12 +918,17 @@ def test_failed_lp_never_closes_a_node(cal, fail_at, monkeypatch):
     seed, _ = solve_greedy(problem)
     assert seed.energy_total > exact.objective * (1 + 1e-9)
 
-    live, statuses, loads = bnb.linprog, [], []
-    if fail_at == "load":
-        def rejected(core, options, lp):
-            loads.append(lp)
-            return None
-        monkeypatch.setattr(bnb, "_load", rejected)
+    live, load, statuses, loads = bnb.linprog, bnb._load, [], []
+    if fail_at in ("load", "residual"):
+        def spoiled(core, options, lp):
+            if fail_at == "load":
+                lp.data[0] = math.inf
+            loads.append(load(core, options, lp))
+            if fail_at == "residual":
+                assert lp.rhs.size - 1 not in lp.node_rows
+                lp.rhs[-1] += 1.0
+            return loads[-1]
+        monkeypatch.setattr(bnb, "_load", spoiled)
     else:
         live = _failing_lp(live, fail_at)
 
@@ -863,9 +943,13 @@ def test_failed_lp_never_closes_a_node(cal, fail_at, monkeypatch):
     assert report.objective == pytest.approx(exact.objective, rel=1e-9)
     if fail_at in (None, "load"):
         assert statuses and set(statuses) == {4}
+    if fail_at == "residual":
+        # HiGHS solves the rows as loaded: it still proves boxes infeasible,
+        # but no optimal point it returns passes
+        assert 4 in statuses and 0 not in statuses
     if fail_at == "load":
         # the rejection is remembered: no node loads the model again
-        assert len(loads) == 1
+        assert loads == [None]
 
 
 def test_import_leaves_scipy_unloaded():
